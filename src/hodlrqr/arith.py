@@ -291,8 +291,7 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
 
 
 def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -> float:
-    """Power-iteration estimate of ||H||_2 using HODLR matvecs."""
+    """Block power-iteration estimate of ||H||_2 through HODLR block products."""
     return spectral_norm_estimate(
-        lambda x: apply_dense(h, x[:, None])[:, 0],
-        lambda x: apply_transpose_dense(h, x[:, None])[:, 0],
-        h.n, max_iter=max_iter, tol=tol)
+        lambda x: apply_dense(h, x), lambda x: apply_transpose_dense(h, x),
+        h.n, max_iter=max_iter, tol=tol, blocks=True)

@@ -6,6 +6,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from .arith import (
     CholeskyBreakdownError,
@@ -58,6 +60,9 @@ class BenchRecord:
     mem_r_rel: float = math.nan
     time_s: float = math.nan
     failed: int = 0
+    # estimate-mode bounds on e_orth and e_acc; not CSV columns
+    e_orth_bound: float = math.nan
+    e_acc_bound: float = math.nan
 
     def to_csv_row(self) -> str:
         def num(x):
@@ -105,7 +110,8 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
 
 
 def _dense_norm_estimate(a: np.ndarray) -> float:
-    return spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, a.shape[1])
+    return spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, a.shape[1],
+                                  blocks=True)
 
 
 def gen_random_rect_dense(m: int, n: int, n_min: int = 250, offdiag_rank: int = 1,
@@ -177,104 +183,119 @@ def gen_cauchy_config(name: str, n: int = 2000, **kwargs) -> HodlrMatrix:
     return gen_cauchy(n, ix_lo, ix_hi, iy_lo, iy_hi, **kwargs)
 
 
-_TIGHT = dict(max_iter=300, tol=1e-6)
+# Estimate mode: block power iteration from a seeded Gaussian n x b block.
+# The bound 10 sqrt(2/pi) max_i ||E w_i|| holds with probability 1 - 10^-b.
+ESTIMATE_BLOCK = 8
+ESTIMATE_SEED = 0
+_ESTIMATE = dict(max_iter=30, tol=1e-6, blocks=True, with_bound=True)
 
 
-def metrics(a, f: HodlrQRFactors, eps: float = 1e-10, estimate: bool = False,
+def _linear_operator(n: int, fwd, bwd) -> LinearOperator:
+    return LinearOperator((n, n), matvec=fwd, rmatvec=bwd, matmat=fwd, rmatmat=bwd,
+                          dtype=float)
+
+
+def _operator(x) -> LinearOperator:
+    """hqr's WY factors (as Q), a HODLR matrix or a dense array as a
+    LinearOperator; the HODLR kinds go through their block products."""
+    if isinstance(x, HodlrQRFactors):
+        return _linear_operator(x.y.n, lambda v: apply_q(x, v),
+                                lambda v: apply_q_transpose(x, v))
+    if isinstance(x, HodlrMatrix):
+        return _linear_operator(x.n, lambda v: apply_dense(x, v),
+                                lambda v: apply_transpose_dense(x, v))
+    return aslinearoperator(np.asarray(x, dtype=float))
+
+
+def _symmetric_norm(g: np.ndarray) -> float:
+    """||G||_2 of a symmetric matrix from its extreme eigenvalues."""
+    lam = scipy.linalg.eigvalsh(g)
+    return float(max(-lam[0], lam[-1]))
+
+
+def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
+              estimate: bool = False, dense_limit: int = 4096) -> dict:
+    """e_orth = ||Q^T Q - I||_2 and e_acc = ||Q R - A||_2 of a QR
+    decomposition whose three factors are given as operators.
+
+    Dense mode densifies Q and Q R - A by applying them to the identity
+    (allowed up to dense_limit) and takes exact norms from symmetric
+    eigenvalue problems: the extreme eigenvalues of Q^T Q - I, the largest
+    of E^T E for E = Q R - A.  Estimate mode never forms a matrix: each
+    error operator gets a block power-iteration estimate (a lower bound)
+    and its Gaussian a-posteriori bound, reported as e_orth_bound and
+    e_acc_bound (nan in dense mode).
+    """
+    n = a.shape[0]
+    orth = q.H @ q - _linear_operator(n, lambda v: v, lambda v: v)
+    resid = q @ r - a
+    out = {"e_orth_bound": math.nan, "e_acc_bound": math.nan}
+    if estimate:
+        rng = np.random.default_rng(ESTIMATE_SEED)
+        for key, op in (("e_orth", orth), ("e_acc", resid)):
+            out[key], out[f"{key}_bound"] = spectral_norm_estimate(
+                op.matmat, op.rmatmat, n,
+                start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
+        return out
+    if n > dense_limit:
+        raise ValueError(
+            f"n = {n} exceeds the densification limit {dense_limit}; "
+            "pass --estimate to use power-iteration metrics")
+    eye = np.eye(n)
+    q_d = q.matmat(eye)
+    out["e_orth"] = _symmetric_norm(q_d.T @ q_d - eye)
+    e = resid.matmat(eye)
+    scale = float(np.max(np.abs(e)))  # keeps E^T E clear of under/overflow
+    if scale > 0.0:
+        e = e / scale
+    out["e_acc"] = scale * math.sqrt(_symmetric_norm(e.T @ e))
+    return out
+
+
+def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
             dense_limit: int = 4096, compute_kappa: bool = True,
             compute_ranks: bool = True) -> dict:
-    """Accuracy, rank and memory metrics of a WY-form QR decomposition.
+    """Accuracy, rank and memory metrics of a QR decomposition of a.
 
-    Without ``estimate`` the matrix is densified (allowed up to
-    dense_limit) and the norms are exact; with it, e_orth and e_acc come
-    from power iteration on the implicitly applied operators and kappa2
-    is reported as nan.  ``eps`` is only used to materialize Q for its
-    rank statistics.
+    ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
+    Cholesky-based baselines, or dense arrays).  e_orth and e_acc come
+    from qr_errors: exact norms of the densified errors, or with
+    ``estimate`` block power-iteration estimates next to their bounds
+    e_orth_bound and e_acc_bound.  kappa2 needs the dense matrix and is nan
+    in estimate mode.  Ranks and memory are the maximal off-diagonal ranks
+    and the stored scalars relative to a of Y, T, Q and R (Y and T only for
+    WY factors, whose Q is materialized at ``eps`` for its statistics).
     """
-    n = f.y.n
-    out = {"kappa2": math.nan, "e_orth": math.nan, "e_acc": math.nan}
-    if estimate:
-        def q_tq_minus_i(v):
-            return apply_q_transpose(f, apply_q(f, v)) - v
-
-        out["e_orth"] = spectral_norm_estimate(q_tq_minus_i, q_tq_minus_i, n, **_TIGHT)
-        a_h = a if isinstance(a, HodlrMatrix) else None
-        if a_h is None:
-            raise ValueError("estimate mode needs the HODLR input matrix")
-
-        def resid(v):
-            return apply_q(f, apply_dense(f.r, v[:, None])[:, 0]) - \
-                apply_dense(a_h, v[:, None])[:, 0]
-
-        def resid_t(v):
-            return apply_transpose_dense(f.r, apply_q_transpose(f, v)[:, None])[:, 0] - \
-                apply_transpose_dense(a_h, v[:, None])[:, 0]
-
-        out["e_acc"] = spectral_norm_estimate(resid, resid_t, n, **_TIGHT)
-    else:
-        if n > dense_limit:
-            raise ValueError(
-                f"n = {n} exceeds the densification limit {dense_limit}; "
-                "pass --estimate to use power-iteration metrics")
-        a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
-        y_d, t_d, r_d = to_dense(f.y), to_dense(f.t), to_dense(f.r)
-        q = np.eye(n) - y_d @ t_d @ y_d.T
-        out["e_orth"] = float(np.linalg.norm(q.T @ q - np.eye(n), 2))
-        out["e_acc"] = float(np.linalg.norm(q @ r_d - a_d, 2))
-        if compute_kappa:
-            out["kappa2"] = float(np.linalg.cond(a_d, 2))
+    wy = isinstance(f, HodlrQRFactors)
+    q, r = (f, f.r) if wy else f
+    out = qr_errors(_operator(a), _operator(q), _operator(r), estimate, dense_limit)
+    out["kappa2"] = math.nan
+    if compute_kappa and not estimate:
+        out["kappa2"] = _kappa2(a)
     if compute_ranks:
-        s_y, s_t, s_r = stats(f.y), stats(f.t), stats(f.r)
-        q_h = q_to_hodlr(f, eps)
-        s_q = stats(q_h)
-        out["rank_y"] = s_y["max_offdiag_rank"]
-        out["rank_t"] = s_t["max_offdiag_rank"]
-        out["rank_q"] = s_q["max_offdiag_rank"]
-        out["rank_r"] = s_r["max_offdiag_rank"]
+        parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f, eps), "r": f.r} if wy else \
+            {"q": q, "r": r}
+        s = {key: stats(h) for key, h in parts.items()}
+        out.update({f"rank_{key}": st["max_offdiag_rank"] for key, st in s.items()})
         if isinstance(a, HodlrMatrix):
             mem_a = stats(a)["memory_scalars"]
-            out["mem_yt_rel"] = (s_y["memory_scalars"] + s_t["memory_scalars"]) / mem_a
-            out["mem_q_rel"] = s_q["memory_scalars"] / mem_a
-            out["mem_r_rel"] = s_r["memory_scalars"] / mem_a
+            if wy:
+                out["mem_yt_rel"] = (s["y"]["memory_scalars"]
+                                     + s["t"]["memory_scalars"]) / mem_a
+            out["mem_q_rel"] = s["q"]["memory_scalars"] / mem_a
+            out["mem_r_rel"] = s["r"]["memory_scalars"] / mem_a
     return out
 
 
-def metrics_explicit(a, q: HodlrMatrix, r: HodlrMatrix, estimate: bool = False,
-                     dense_limit: int = 4096) -> dict:
-    """e_orth and e_acc for a QR decomposition with Q given explicitly
-    (the Cholesky-based baselines)."""
-    n = q.n
-    out = {"e_orth": math.nan, "e_acc": math.nan}
-    if estimate:
-        def q_tq_minus_i(v):
-            col = v[:, None]
-            return apply_transpose_dense(q, apply_dense(q, col))[:, 0] - v
+def metrics_explicit(a, q, r, estimate: bool = False, dense_limit: int = 4096) -> dict:
+    """e_orth and e_acc (and their bounds) for a QR decomposition with Q
+    given explicitly (the Cholesky-based baselines)."""
+    return qr_errors(_operator(a), _operator(q), _operator(r), estimate, dense_limit)
 
-        out["e_orth"] = spectral_norm_estimate(q_tq_minus_i, q_tq_minus_i, n, **_TIGHT)
-        a_h = a if isinstance(a, HodlrMatrix) else None
-        if a_h is None:
-            raise ValueError("estimate mode needs the HODLR input matrix")
 
-        def resid(v):
-            col = v[:, None]
-            return (apply_dense(q, apply_dense(r, col)) - apply_dense(a_h, col))[:, 0]
-
-        def resid_t(v):
-            col = v[:, None]
-            return (apply_transpose_dense(r, apply_transpose_dense(q, col))
-                    - apply_transpose_dense(a_h, col))[:, 0]
-
-        out["e_acc"] = spectral_norm_estimate(resid, resid_t, n, **_TIGHT)
-    else:
-        if n > dense_limit:
-            raise ValueError(
-                f"n = {n} exceeds the densification limit {dense_limit}; "
-                "pass --estimate to use power-iteration metrics")
-        a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
-        q_d, r_d = to_dense(q), to_dense(r)
-        out["e_orth"] = float(np.linalg.norm(q_d.T @ q_d - np.eye(n), 2))
-        out["e_acc"] = float(np.linalg.norm(q_d @ r_d - a_d, 2))
-    return out
+def _kappa2(a) -> float:
+    a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
+    return float(np.linalg.cond(a_d, 2))
 
 
 @dataclass
@@ -308,42 +329,24 @@ def _generate(config: BenchConfig, n: int, seed: int) -> HodlrMatrix:
                              n_min=config.n_min, absolute_eps=config.absolute_eps)
 
 
-def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int,
-              seed: int) -> BenchRecord:
+def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: int,
+              estimate: bool, tc: TruncationControl | None) -> BenchRecord:
     rec = BenchRecord(method=method, n=n, seed=seed, eps=config.eps)
-    tc_eps = config.eps if config.absolute_eps else config.eps * hodlr_spectral_norm(a)
-    estimate = config.estimate or n > config.dense_limit
     start = time.perf_counter()
     try:
         if method == "hqr":
             f = hqr(a, config.eps, absolute=config.absolute_eps)
-            rec.time_s = time.perf_counter() - start
-            m = metrics(a, f, eps=config.eps, estimate=estimate,
-                        dense_limit=config.dense_limit)
-            for key, val in m.items():
-                setattr(rec, key, val)
-        elif method in ("cholqr", "cholqr2"):
-            fn = cholqr if method == "cholqr" else cholqr2
-            q, r = fn(a, TruncationControl(tc_eps))
-            rec.time_s = time.perf_counter() - start
-            m = metrics_explicit(a, q, r, estimate=estimate,
-                                 dense_limit=config.dense_limit)
-            rec.e_orth, rec.e_acc = m["e_orth"], m["e_acc"]
-            s_q, s_r = stats(q), stats(r)
-            mem_a = stats(a)["memory_scalars"]
-            rec.rank_q = s_q["max_offdiag_rank"]
-            rec.rank_r = s_r["max_offdiag_rank"]
-            rec.mem_q_rel = s_q["memory_scalars"] / mem_a
-            rec.mem_r_rel = s_r["memory_scalars"] / mem_a
-            if not estimate:
-                rec.kappa2 = float(np.linalg.cond(to_dense(a), 2))
         elif method == "dense":
-            a_d = to_dense(a)
-            q, r = np.linalg.qr(a_d)
-            rec.time_s = time.perf_counter() - start
-            rec.e_orth = float(np.linalg.norm(q.T @ q - np.eye(n), 2))
-            rec.e_acc = float(np.linalg.norm(q @ r - a_d, 2))
-            rec.kappa2 = float(np.linalg.cond(a_d, 2))
+            a = to_dense(a)
+            f = np.linalg.qr(a)
+        else:
+            f = (cholqr if method == "cholqr" else cholqr2)(a, tc)
+        rec.time_s = time.perf_counter() - start
+        m = metrics(a, f, eps=config.eps, estimate=estimate,
+                    dense_limit=config.dense_limit, compute_kappa=False,
+                    compute_ranks=method != "dense")
+        for key, val in m.items():
+            setattr(rec, key, val)
     except (CholeskyBreakdownError, np.linalg.LinAlgError):
         rec.time_s = time.perf_counter() - start
         rec.failed = 1
@@ -353,15 +356,25 @@ def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int,
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """One record per (size, seed, method) cell, in config order.
 
+    kappa2 (dense mode only) and the CholQR truncation threshold depend
+    on the matrix alone and are computed once per generated matrix.
     Breakdown failures are recorded as rows with nan metrics and the
     failed flag set rather than skipped.
     """
     records = []
     for n in config.sizes:
+        estimate = config.estimate or n > config.dense_limit
         for seed in config.seeds:
             a = _generate(config, n, seed)
+            kappa2 = math.nan if estimate else _kappa2(a)
+            tc = None
+            if {"cholqr", "cholqr2"} & set(config.methods):
+                norm = 1.0 if config.absolute_eps else hodlr_spectral_norm(a)
+                tc = TruncationControl(config.eps * norm)
             for method in config.methods:
-                records.append(_run_cell(config, a, method, n, seed))
+                rec = _run_cell(config, a, method, n, seed, estimate, tc)
+                rec.kappa2 = kappa2
+                records.append(rec)
     return records
 
 

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--nb", type=int, default=32)
     q.add_argument("--absolute-eps", action="store_true")
     q.add_argument("--estimate", action="store_true",
-                   help="power-iteration metrics instead of densifying")
+                   help="block power-iteration metrics with bounds instead of densifying")
     q.add_argument("--out-prefix", required=True)
 
     b = sub.add_parser("bench", help="accuracy/rank/memory benchmark, CSV output")
@@ -116,8 +116,8 @@ def _cmd_qr(args) -> int:
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")
     m = metrics(a, f, eps=args.eps, estimate=args.estimate)
-    for key in ("kappa2", "e_orth", "e_acc", "rank_y", "rank_t", "rank_q", "rank_r",
-                "mem_yt_rel", "mem_q_rel", "mem_r_rel"):
+    for key in ("kappa2", "e_orth", "e_acc", "e_orth_bound", "e_acc_bound", "rank_y",
+                "rank_t", "rank_q", "rank_r", "mem_yt_rel", "mem_q_rel", "mem_r_rel"):
         print(f"{key}={m.get(key, float('nan'))}")
     return 0
 

@@ -289,6 +289,14 @@ def stats(h: HodlrMatrix) -> dict:
     return {"max_offdiag_rank": max_rank, "memory_scalars": memory}
 
 
+def all_finite(h: HodlrMatrix) -> bool:
+    """True when every stored leaf entry and low-rank factor entry is finite."""
+    if h.is_leaf:
+        return bool(np.isfinite(h.dense).all())
+    return (all(np.isfinite(b.L).all() and np.isfinite(b.R).all() for b in (h.a12, h.a21))
+            and all_finite(h.a11) and all_finite(h.a22))
+
+
 def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:
     """Identity matrix in HODLR form (rank-0 off-diagonal blocks)."""
     if tree.level == 0:

@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives used by every other module.
 
 Householder reflectors, economy QR, SVD with a reconstruction guarantee,
-singular-value truncation ranks and power-iteration spectral-norm estimates.
+singular-value truncation ranks and block power-iteration spectral-norm
+estimates.
 """
 
 from dataclasses import dataclass
@@ -94,41 +95,70 @@ def truncation_rank(sigma, eps: float) -> int:
     return int(np.sum(sigma > eps))
 
 
+def _columnwise(apply):
+    """Push an n x b block through a callable that takes single vectors."""
+    def apply_block(x):
+        return np.column_stack(
+            [np.asarray(apply(x[:, i]), dtype=float) for i in range(x.shape[1])])
+    return apply_block
+
+
+# Halko, Martinsson and Tropp 2011, eq. (4.3): ||A|| <= 10 sqrt(2/pi) max_i
+# ||A w_i|| with probability at least 1 - 10^-b for b standard Gaussian w_i
+_GAUSSIAN_BOUND_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
+
+
 def spectral_norm_estimate(apply, apply_transpose, n: int,
-                           max_iter: int = 50, tol: float = 1e-3) -> float:
+                           max_iter: int = 50, tol: float = 1e-3, start=None,
+                           blocks: bool = False, with_bound: bool = False):
     """Estimate the spectral norm of a linear operator on R^n.
 
-    Block power iteration on A^T A with two deterministic start vectors:
-    the normalized all-ones vector and a fixed pseudorandom companion (a
-    single start vector can be nearly orthogonal to the top singular
-    vector, which no stopping rule detects).  Stops once the Ritz residual
-    certifies the dominant eigenvalue of A^T A to a relative 2*tol, giving
-    a relative error around tol in the norm itself.  The defaults give two
-    correct digits, enough for scaling a truncation threshold.
+    Block power iteration on A^T A: each round applies A to an orthonormal
+    n x b block, A^T to the image, and takes the top Ritz value.  Stops
+    once the Ritz residual certifies the dominant eigenvalue of A^T A to a
+    relative 2*tol, giving a relative error around tol in the norm itself,
+    or after ``max_iter`` rounds.  The estimate is ||A v|| for a unit v in
+    the block's span, so it never exceeds the norm.
+
+    ``start`` is the n x b start block.  The default holds two
+    deterministic vectors: the normalized all-ones vector and a fixed
+    pseudorandom companion (a single start vector can be nearly orthogonal
+    to the top singular vector, which no stopping rule detects).  With the
+    default tol and max_iter this gives two correct digits, enough for
+    scaling a truncation threshold.
+
+    With ``blocks`` the callables map an n x b block to its image in one
+    call, so each round makes one call of each; otherwise they take single
+    vectors and the block goes through column by column.
+
+    With ``with_bound`` the result is the pair (estimate, bound), where
+    bound = 10 sqrt(2/pi) max_i ||A w_i|| over the start columns w_i.  For
+    a standard Gaussian start block of b columns ||A|| <= bound holds with
+    probability at least 1 - 10^-b (Halko, Martinsson and Tropp 2011,
+    section 4.3).
     """
     if n <= 0:
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    x0 = np.full(n, 1.0 / np.sqrt(n))
-    x1 = rng.standard_normal(n)
-    x = np.linalg.qr(np.column_stack([x0, x1]))[0]
-    est = 0.0
-    for _ in range(max_iter):
-        y = np.column_stack(
-            [np.asarray(apply(x[:, i]), dtype=float) for i in range(x.shape[1])])
+        return (0.0, 0.0) if with_bound else 0.0
+    if start is None:
+        rng = np.random.default_rng(0x5EED)
+        start = np.column_stack([np.full(n, 1.0 / np.sqrt(n)), rng.standard_normal(n)])
+    if not blocks:
+        apply, apply_transpose = _columnwise(apply), _columnwise(apply_transpose)
+    x, coeffs = np.linalg.qr(np.asarray(start, dtype=float))
+    est = bound = 0.0
+    for it in range(max_iter):
+        y = np.asarray(apply(x), dtype=float)
+        if it == 0:  # y @ coeffs = A @ start
+            bound = _GAUSSIAN_BOUND_FACTOR * float(np.max(np.linalg.norm(y @ coeffs, axis=0)))
         lam, vecs = np.linalg.eigh(y.T @ y)
         theta = float(lam[-1])
-        est = np.sqrt(max(theta, 0.0))
+        est = float(np.sqrt(max(theta, 0.0)))
         if est == 0.0:
-            return 0.0
-        w = np.column_stack(
-            [np.asarray(apply_transpose(y[:, i]), dtype=float) for i in range(y.shape[1])])
+            break
+        w = np.asarray(apply_transpose(y), dtype=float)
         g = vecs[:, -1]
         residual = np.linalg.norm(w @ g - theta * (x @ g))
         if residual <= 2.0 * tol * theta:
-            return est
-        q, _ = np.linalg.qr(w)
-        if q.shape[1] < x.shape[1]:
-            return est
-        x = q
-    return est
+            break
+        x, _ = np.linalg.qr(w)
+    return (est, bound) if with_bound else est

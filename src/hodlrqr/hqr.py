@@ -17,6 +17,7 @@ from .core import (
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
+    all_finite,
     hodlr_identity,
     left_orthogonalize,
     truncate_lowrank,
@@ -85,8 +86,11 @@ def hqr(a: HodlrMatrix, eps: float, n_b: int = 32,
     sums are truncated at eps * ||A||_2 (the norm is estimated once by
     power iteration and threaded through the recursion), while the
     coupling blocks of T are truncated at the plain eps.  With
-    ``absolute`` the threshold eps is used as-is everywhere.
+    ``absolute`` the threshold eps is used as-is everywhere.  Input with an
+    inf or nan entry raises ValueError.
     """
+    if not all_finite(a):
+        raise ValueError("hqr input has non-finite entries (inf or nan)")
     eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)
     y, t, r = hqr_rec(StructuredColumn.whole_matrix(a), eps_abs, eps, n_b)
     return HodlrQRFactors(y=y.y_a, t=t, r=r)

@@ -178,6 +178,21 @@ def test_cli_gen_qr_round_trip(tmp_path):
     assert np.linalg.norm(q @ to_dense(r) - ad, 2) <= 1e-10 * np.linalg.norm(ad, 2)
 
 
+def test_cli_qr_estimate_prints_bounds(tmp_path, capsys):
+    matrix_path = tmp_path / "a.hdlr1"
+    main(["gen", "--n", "300", "--nmin", "64", "--seed", "2", "--out", str(matrix_path)])
+    capsys.readouterr()
+    rc = main(["qr", str(matrix_path), "--eps", "1e-10", "--estimate",
+               "--out-prefix", str(tmp_path / "fac")])
+    assert rc == 0
+    tokens = capsys.readouterr().out.split()
+    printed = dict(tok.split("=", 1) for tok in tokens)
+    assert len(printed) == len(tokens)
+    for key in ("e_orth", "e_acc"):
+        assert 0 < float(printed[key]) <= float(printed[f"{key}_bound"])
+    assert printed["kappa2"] == "nan"
+
+
 def test_cli_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--methods", "hqr", "--sizes", "96", "--seeds", "0",

@@ -179,3 +179,94 @@ def test_spectral_norm_tiny_dimension():
     m = np.array([[2.0]])
     est = spectral_norm_estimate(lambda x: m @ x, lambda x: m.T @ x, 1)
     assert est == pytest.approx(2.0, rel=1e-6)
+
+
+def _diag_estimate(d, **kwargs):
+    """Blocked estimate of ||diag(d)|| from an 8-column Gaussian block."""
+    d = np.asarray(d, dtype=float)
+    start = np.random.default_rng(5).standard_normal((d.size, 8))
+    return spectral_norm_estimate(lambda x: d[:, None] * x, lambda x: d[:, None] * x,
+                                  d.size, start=start, blocks=True, **kwargs)
+
+
+def test_block_estimate_diag_with_gap():
+    d = np.concatenate([[10.0], np.linspace(1.0, 5.0, 199)])
+    est = _diag_estimate(d, max_iter=30, tol=1e-6)
+    assert est == pytest.approx(10.0, rel=1e-6)
+    assert est <= 10.0 * (1 + 1e-14)
+
+
+def test_block_estimate_diag_repeated_top_value():
+    d = np.concatenate([[3.0] * 4, np.linspace(0.0, 1.0, 196)])
+    assert _diag_estimate(d, max_iter=30, tol=1e-6) == pytest.approx(3.0, rel=1e-6)
+
+
+def test_block_estimate_diag_clustered_spectrum():
+    # 50 values within 1e-3 of the top: the cap stops the rounds, and the
+    # estimate still lands inside the cluster, below the norm
+    d = np.concatenate([1.0 - 1e-3 * np.linspace(0, 1, 50), np.linspace(0.0, 0.5, 150)])
+    est = _diag_estimate(d, max_iter=30, tol=1e-6)
+    assert 1.0 - 1e-3 <= est <= 1.0 + 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_block_estimate_smaller_than_block(n):
+    d = np.arange(1.0, n + 1.0)
+    est, bound = _diag_estimate(d, max_iter=30, tol=1e-6, with_bound=True)
+    assert est == pytest.approx(float(n), rel=1e-12)
+    assert bound >= est
+
+
+def test_block_estimate_zero_operator():
+    est, bound = _diag_estimate(np.zeros(20), with_bound=True)
+    assert est == 0.0 and bound == 0.0
+
+
+def test_block_estimate_rank_one_converges_early():
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal(150), rng.standard_normal(150)
+    m = np.outer(u, v)
+    calls = []
+
+    def apply(x):
+        calls.append(x.shape[1])
+        return m @ x
+
+    est = spectral_norm_estimate(apply, lambda x: m.T @ x, 150, max_iter=30, tol=1e-6,
+                                 start=rng.standard_normal((150, 8)), blocks=True)
+    assert est == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-10)
+    assert len(calls) <= 3 and set(calls) == {8}  # one call per round, whole blocks
+
+
+def test_block_estimate_roundoff_operator_stops_at_cap():
+    # a symmetric operator at roundoff level with a flat spectrum: the Ritz
+    # residual never certifies convergence, so the round cap ends the run
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((300, 300))
+    e = 1e-16 * (g + g.T)
+    rounds = []
+
+    def apply(x):
+        rounds.append(1)
+        return e @ x
+
+    est, bound = spectral_norm_estimate(apply, lambda x: e @ x, 300, max_iter=30, tol=1e-6,
+                                        start=rng.standard_normal((300, 8)),
+                                        blocks=True, with_bound=True)
+    exact = np.linalg.norm(e, 2)
+    assert len(rounds) == 30
+    assert exact / 2 <= est <= exact * (1 + 1e-12)
+    assert bound >= exact
+
+
+def test_block_estimate_bound_covers_exact_norm():
+    # ||E|| <= 10 sqrt(2/pi) max_i ||E w_i|| fails with probability 1e-8
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        e = rng.standard_normal((80, 60)) * rng.uniform(0.1, 10.0)
+        est, bound = spectral_norm_estimate(
+            lambda x: e @ x, lambda x: e.T @ x, 60, max_iter=30, tol=1e-6,
+            start=rng.standard_normal((60, 8)), blocks=True, with_bound=True)
+        exact = np.linalg.norm(e, 2)
+        assert est <= exact * (1 + 1e-12)
+        assert bound >= exact

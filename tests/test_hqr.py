@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hodlrqr import (
     HodlrMatrix,
@@ -240,3 +241,26 @@ def test_hqr_robust_to_ill_conditioning():
         e_orths.append(np.linalg.norm(q.T @ q - np.eye(n), 2))
     assert max(e_orths) <= 1e-10
     assert max(e_orths) / min(e_orths) <= 1e3  # no kappa-proportional growth
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_hqr_rejects_inf_in_single_leaf(absolute):
+    # n < n_min: the whole matrix is one dense leaf
+    m = np.random.default_rng(41).standard_normal((48, 48))
+    m[5, 7] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        hqr(HodlrMatrix(dense=m), 1e-12, absolute=absolute)
+
+
+def test_hqr_rejects_nan_in_multi_leaf():
+    h, _, _ = random_hodlr_pair(128, 32, seed=42)
+    h.a22.a11.dense[3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hqr(h, 1e-12)
+
+
+def test_hqr_rejects_nan_in_low_rank_factor():
+    h, _, _ = random_hodlr_pair(128, 32, seed=43)
+    h.a11.a21.R[0, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hqr(h, 1e-12)
