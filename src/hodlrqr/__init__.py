@@ -9,7 +9,6 @@ from .arith import (
     CholeskyBreakdownError,
     add,
     apply_dense,
-    apply_transpose_dense,
     cholesky,
     hodlr_spectral_norm,
     low_rank_update,
@@ -31,6 +30,7 @@ from .core import (
     left_orthogonalize,
     recompress_hodlr,
     stats,
+    sum_lowrank,
     to_dense,
     truncate_lowrank,
 )
@@ -38,7 +38,6 @@ from .dense import (
     HouseholderReflector,
     SvdResult,
     householder_reflector,
-    qr_economy,
     spectral_norm_estimate,
     svd,
     truncation_rank,
@@ -64,13 +63,12 @@ __all__ = [
     "HodlrMatrix", "HodlrQRFactors", "HouseholderReflector", "LowRankBlock",
     "PartitionTree", "RectHodlr", "RectQRFactors", "StructuredColumn",
     "StructuredY", "SvdResult", "TruncationControl", "add", "apply_dense",
-    "apply_q", "apply_q_transpose", "apply_transpose_dense", "block_qr",
-    "build_partition", "cholesky", "cholqr", "cholqr2", "from_dense",
-    "hodlr_identity", "hodlr_spectral_norm", "householder_reflector", "hqr",
-    "hqr_rec", "left_orthogonalize", "low_rank_update", "matvec", "multiply",
-    "q_to_hodlr", "qr_economy", "read_hodlr", "recompress_hodlr",
-    "rect_qr_prototype", "scale", "solve_upper_triangular_right",
-    "spectral_norm_estimate", "stats", "svd", "to_dense", "transpose",
-    "truncate_lowrank", "truncation_rank", "wy_apply_q", "wy_apply_qt",
-    "write_hodlr",
+    "apply_q", "apply_q_transpose", "block_qr", "build_partition", "cholesky",
+    "cholqr", "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm",
+    "householder_reflector", "hqr", "hqr_rec", "left_orthogonalize",
+    "low_rank_update", "matvec", "multiply", "q_to_hodlr", "read_hodlr",
+    "recompress_hodlr", "rect_qr_prototype", "scale",
+    "solve_upper_triangular_right", "spectral_norm_estimate", "stats",
+    "sum_lowrank", "svd", "to_dense", "transpose", "truncate_lowrank",
+    "truncation_rank", "wy_apply_q", "wy_apply_qt", "write_hodlr",
 ]

@@ -11,6 +11,7 @@ from .core import (
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
+    sum_lowrank,
     truncate_lowrank,
 )
 from .dense import spectral_norm_estimate
@@ -32,8 +33,9 @@ def _check_same_tree(h1: HodlrMatrix, h2: HodlrMatrix, op: str) -> None:
         raise ValueError(f"{op} requires operands with the same partition tree")
 
 
-def apply_dense(h: HodlrMatrix, x: np.ndarray) -> np.ndarray:
-    """H @ x for a dense matrix x, evaluated by recursive descent.
+def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """H @ x, or H.T @ x with ``trans``, for a dense matrix x, evaluated by
+    recursive descent without forming the transpose.
 
     Off-diagonal contributions go through the low-rank factors, so the
     cost is O(k n log n) per column and nothing is truncated.
@@ -42,25 +44,15 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray) -> np.ndarray:
     if x.shape[0] != h.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {x.shape[0]}")
     if h.is_leaf:
-        return h.dense @ x
+        return (h.dense.T if trans else h.dense) @ x
     m1 = h.a11.n
     x1, x2 = x[:m1], x[m1:]
-    top = apply_dense(h.a11, x1) + h.a12.L @ (h.a12.R @ x2)
-    bot = h.a21.L @ (h.a21.R @ x1) + apply_dense(h.a22, x2)
-    return np.concatenate([top, bot], axis=0)
-
-
-def apply_transpose_dense(h: HodlrMatrix, x: np.ndarray) -> np.ndarray:
-    """H.T @ x without forming the transpose."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != h.n:
-        raise ValueError(f"dimension mismatch: {h.n} vs {x.shape[0]}")
-    if h.is_leaf:
-        return h.dense.T @ x
-    m1 = h.a11.n
-    x1, x2 = x[:m1], x[m1:]
-    top = apply_transpose_dense(h.a11, x1) + h.a21.R.T @ (h.a21.L.T @ x2)
-    bot = h.a12.R.T @ (h.a12.L.T @ x1) + apply_transpose_dense(h.a22, x2)
+    if trans:  # H.T has A21.T above the diagonal and A12.T below it
+        up_l, up_r, low_l, low_r = h.a21.R.T, h.a21.L.T, h.a12.R.T, h.a12.L.T
+    else:
+        up_l, up_r, low_l, low_r = h.a12.L, h.a12.R, h.a21.L, h.a21.R
+    top = apply_dense(h.a11, x1, trans) + up_l @ (up_r @ x2)
+    bot = low_l @ (low_r @ x1) + apply_dense(h.a22, x2, trans)
     return np.concatenate([top, bot], axis=0)
 
 
@@ -101,13 +93,6 @@ def _merge_tags(t1: str, t2: str) -> str:
     return UPPER_TRIANGULAR if t1 == t2 == UPPER_TRIANGULAR else GENERAL
 
 
-def _add_blocks(b1: LowRankBlock, b2: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
-    if b1.rank == 0 and b2.rank == 0:
-        return b1
-    joined = LowRankBlock(np.hstack([b1.L, b2.L]), np.vstack([b1.R, b2.R]))
-    return truncate_lowrank(joined, tc)
-
-
 def add(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     """H1 + H2 with recompression of the concatenated off-diagonal factors."""
     _check_same_tree(h1, h2, "add")
@@ -117,8 +102,8 @@ def add(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     return HodlrMatrix(
         a11=add(h1.a11, h2.a11, tc),
         a22=add(h1.a22, h2.a22, tc),
-        a12=_add_blocks(h1.a12, h2.a12, tc),
-        a21=_add_blocks(h1.a21, h2.a21, tc),
+        a12=sum_lowrank([h1.a12, h2.a12], tc),
+        a21=sum_lowrank([h1.a21, h2.a21], tc),
         shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag),
     )
 
@@ -140,14 +125,14 @@ def low_rank_update(h: HodlrMatrix, u: np.ndarray, v: np.ndarray,
     return HodlrMatrix(
         a11=low_rank_update(h.a11, u1, v1, tc),
         a22=low_rank_update(h.a22, u2, v2, tc),
-        a12=_add_blocks(h.a12, LowRankBlock(u1, v2.T), tc),
-        a21=_add_blocks(h.a21, LowRankBlock(u2, v1.T), tc),
+        a12=sum_lowrank([h.a12, LowRankBlock(u1, v2.T)], tc),
+        a21=sum_lowrank([h.a21, LowRankBlock(u2, v1.T)], tc),
     )
 
 
 def _lowrank_times_hodlr(b: LowRankBlock, h: HodlrMatrix) -> LowRankBlock:
     # (L R) @ H = L (R H), with R H done as k transposed matvecs
-    return LowRankBlock(b.L, apply_transpose_dense(h, b.R.T).T)
+    return LowRankBlock(b.L, apply_dense(h, b.R.T, trans=True).T)
 
 
 def _hodlr_times_lowrank(h: HodlrMatrix, b: LowRankBlock) -> LowRankBlock:
@@ -181,10 +166,10 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
     lr22 = _lowrank_product(h1.a21, h2.a12)
     c22 = low_rank_update(multiply(h1.a22, h2.a22, tc), lr22.L, lr22.R.T, tc)
     # off-diagonal blocks: sum of two low-rank matrices
-    c12 = _add_blocks(_hodlr_times_lowrank(h1.a11, h2.a12),
-                      _lowrank_times_hodlr(h1.a12, h2.a22), tc)
-    c21 = _add_blocks(_lowrank_times_hodlr(h1.a21, h2.a11),
-                      _hodlr_times_lowrank(h1.a22, h2.a21), tc)
+    c12 = sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
+                       _lowrank_times_hodlr(h1.a12, h2.a22)], tc)
+    c21 = sum_lowrank([_lowrank_times_hodlr(h1.a21, h2.a11),
+                       _hodlr_times_lowrank(h1.a22, h2.a21)], tc)
     return HodlrMatrix(a11=c11, a22=c22, a12=c12, a21=c21,
                        shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag))
 
@@ -224,7 +209,7 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
                            shape_tag=UPPER_TRIANGULAR)
     r11 = _cholesky_rec(h.a11, tc, leaf_offset)
     # W = R11^{-T} @ A12, acting on the k columns of the left factor
-    lw = solve_upper_transpose_dense(r11, h.a12.L)
+    lw = solve_upper_dense(r11, h.a12.L, trans=True)
     w = truncate_lowrank(LowRankBlock(lw, h.a12.R), tc)
     # Schur complement A22 - W^T W
     u = w.R.T @ (w.L.T @ w.L)
@@ -243,27 +228,19 @@ def _leaf_solve_upper(r: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     return scipy.linalg.solve_triangular(r, b, lower=False, trans="T" if trans else "N")
 
 
-def solve_upper_dense(r: HodlrMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve R x = b for upper triangular HODLR R and dense b."""
+def solve_upper_dense(r: HodlrMatrix, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """Solve R x = b, or R.T x = b with ``trans``, for upper triangular
+    HODLR R and dense b, by back (forward) substitution on the blocks."""
     b = np.asarray(b, dtype=float)
     if r.is_leaf:
-        return _leaf_solve_upper(r.dense, b, trans=False)
+        return _leaf_solve_upper(r.dense, b, trans)
     m1 = r.a11.n
-    x2 = solve_upper_dense(r.a22, b[m1:])
-    rhs1 = b[:m1] - r.a12.L @ (r.a12.R @ x2)
-    x1 = solve_upper_dense(r.a11, rhs1)
-    return np.concatenate([x1, x2], axis=0)
-
-
-def solve_upper_transpose_dense(r: HodlrMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve R.T x = b (forward substitution on the block structure)."""
-    b = np.asarray(b, dtype=float)
-    if r.is_leaf:
-        return _leaf_solve_upper(r.dense, b, trans=True)
-    m1 = r.a11.n
-    x1 = solve_upper_transpose_dense(r.a11, b[:m1])
-    rhs2 = b[m1:] - r.a12.R.T @ (r.a12.L.T @ x1)
-    x2 = solve_upper_transpose_dense(r.a22, rhs2)
+    if trans:
+        x1 = solve_upper_dense(r.a11, b[:m1], True)
+        x2 = solve_upper_dense(r.a22, b[m1:] - r.a12.R.T @ (r.a12.L.T @ x1), True)
+    else:
+        x2 = solve_upper_dense(r.a22, b[m1:])
+        x1 = solve_upper_dense(r.a11, b[:m1] - r.a12.L @ (r.a12.R @ x2))
     return np.concatenate([x1, x2], axis=0)
 
 
@@ -276,13 +253,11 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
         # X R = B  <=>  R^T X^T = B^T
         return HodlrMatrix(dense=_leaf_solve_upper(r.dense, b.dense.T, trans=True).T)
     x11 = solve_upper_triangular_right(b.a11, r.a11, tc)
-    x21 = LowRankBlock(b.a21.L,
-                       solve_upper_transpose_dense(r.a11, b.a21.R.T).T)
+    x21 = LowRankBlock(b.a21.L, solve_upper_dense(r.a11, b.a21.R.T, trans=True).T)
     # X12 R22 = B12 - X11 R12
     x11_r12 = _hodlr_times_lowrank(x11, r.a12)
-    num12 = _add_blocks(b.a12, x11_r12.scaled(-1.0), tc)
-    x12 = LowRankBlock(num12.L,
-                       solve_upper_transpose_dense(r.a22, num12.R.T).T)
+    num12 = sum_lowrank([b.a12, x11_r12.scaled(-1.0)], tc)
+    x12 = LowRankBlock(num12.L, solve_upper_dense(r.a22, num12.R.T, trans=True).T)
     # X22 R22 = B22 - X21 R12
     cross = _lowrank_product(x21, r.a12)
     b22 = low_rank_update(b.a22, -cross.L, cross.R.T, tc)
@@ -293,5 +268,5 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
 def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -> float:
     """Block power-iteration estimate of ||H||_2 through HODLR block products."""
     return spectral_norm_estimate(
-        lambda x: apply_dense(h, x), lambda x: apply_transpose_dense(h, x),
+        lambda x: apply_dense(h, x), lambda x: apply_dense(h, x, trans=True),
         h.n, max_iter=max_iter, tol=tol, blocks=True)

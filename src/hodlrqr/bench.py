@@ -12,7 +12,6 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator
 from .arith import (
     CholeskyBreakdownError,
     apply_dense,
-    apply_transpose_dense,
     hodlr_spectral_norm,
 )
 from .baselines import cholqr, cholqr2
@@ -40,6 +39,9 @@ CAUCHY_CONFIGS = {
     "a2": (-1.25, 998.25, -0.45, 999.15),
     "a3": (-1.25, 998.25, -0.15, 999.45),
 }
+
+# largest n whose dense-mode metrics densify Q and Q R - A
+DENSE_LIMIT = 4096
 
 
 @dataclass
@@ -183,6 +185,26 @@ def gen_cauchy_config(name: str, n: int = 2000, **kwargs) -> HodlrMatrix:
     return gen_cauchy(n, ix_lo, ix_hi, iy_lo, iy_hi, **kwargs)
 
 
+def check_matrix_kind(kind: str) -> str:
+    """Return kind if it names a benchmark matrix, random or cauchy:<config>;
+    raise ValueError otherwise."""
+    family, _, cfg = kind.partition(":")
+    if kind == "random" or (family == "cauchy" and cfg in CAUCHY_CONFIGS):
+        return kind
+    raise ValueError(f"unknown matrix kind {kind!r}; expected random or "
+                     f"cauchy:{{{'|'.join(CAUCHY_CONFIGS)}}}")
+
+
+def gen_matrix(kind: str, n: int, n_min: int = 250, seed: int = 0, offdiag_rank: int = 1,
+               eps: float = 1e-10, absolute_eps: bool = False) -> HodlrMatrix:
+    """Benchmark matrix of the given kind: gen_random_hodlr with
+    offdiag_rank, or the Cauchy configuration compressed at eps."""
+    if check_matrix_kind(kind) == "random":
+        return gen_random_hodlr(n, n_min, offdiag_rank, seed)
+    return gen_cauchy_config(kind.partition(":")[2], n=n, seed=seed, eps=eps,
+                             n_min=n_min, absolute_eps=absolute_eps)
+
+
 # Estimate mode: block power iteration from a seeded Gaussian n x b block.
 # The bound 10 sqrt(2/pi) max_i ||E w_i|| holds with probability 1 - 10^-b.
 ESTIMATE_BLOCK = 8
@@ -203,7 +225,7 @@ def _operator(x) -> LinearOperator:
                                 lambda v: apply_q_transpose(x, v))
     if isinstance(x, HodlrMatrix):
         return _linear_operator(x.n, lambda v: apply_dense(x, v),
-                                lambda v: apply_transpose_dense(x, v))
+                                lambda v: apply_dense(x, v, trans=True))
     return aslinearoperator(np.asarray(x, dtype=float))
 
 
@@ -214,12 +236,12 @@ def _symmetric_norm(g: np.ndarray) -> float:
 
 
 def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
-              estimate: bool = False, dense_limit: int = 4096) -> dict:
+              estimate: bool = False) -> dict:
     """e_orth = ||Q^T Q - I||_2 and e_acc = ||Q R - A||_2 of a QR
     decomposition whose three factors are given as operators.
 
     Dense mode densifies Q and Q R - A by applying them to the identity
-    (allowed up to dense_limit) and takes exact norms from symmetric
+    (allowed up to DENSE_LIMIT) and takes exact norms from symmetric
     eigenvalue problems: the extreme eigenvalues of Q^T Q - I, the largest
     of E^T E for E = Q R - A.  Estimate mode never forms a matrix: each
     error operator gets a block power-iteration estimate (a lower bound)
@@ -237,9 +259,9 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
                 op.matmat, op.rmatmat, n,
                 start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
         return out
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise ValueError(
-            f"n = {n} exceeds the densification limit {dense_limit}; "
+            f"n = {n} exceeds the densification limit {DENSE_LIMIT}; "
             "pass --estimate to use power-iteration metrics")
     eye = np.eye(n)
     q_d = q.matmat(eye)
@@ -253,8 +275,7 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
 
 
 def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
-            dense_limit: int = 4096, compute_kappa: bool = True,
-            compute_ranks: bool = True) -> dict:
+            compute_kappa: bool = True, compute_ranks: bool = True) -> dict:
     """Accuracy, rank and memory metrics of a QR decomposition of a.
 
     ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
@@ -268,7 +289,7 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
     """
     wy = isinstance(f, HodlrQRFactors)
     q, r = (f, f.r) if wy else f
-    out = qr_errors(_operator(a), _operator(q), _operator(r), estimate, dense_limit)
+    out = qr_errors(_operator(a), _operator(q), _operator(r), estimate)
     out["kappa2"] = math.nan
     if compute_kappa and not estimate:
         out["kappa2"] = _kappa2(a)
@@ -287,10 +308,10 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
     return out
 
 
-def metrics_explicit(a, q, r, estimate: bool = False, dense_limit: int = 4096) -> dict:
+def metrics_explicit(a, q, r, estimate: bool = False) -> dict:
     """e_orth and e_acc (and their bounds) for a QR decomposition with Q
     given explicitly (the Cholesky-based baselines)."""
-    return qr_errors(_operator(a), _operator(q), _operator(r), estimate, dense_limit)
+    return qr_errors(_operator(a), _operator(q), _operator(r), estimate)
 
 
 def _kappa2(a) -> float:
@@ -309,24 +330,12 @@ class BenchConfig:
     matrix: str = "random"  # or cauchy:a1|a2|a3
     absolute_eps: bool = False
     estimate: bool = False
-    dense_limit: int = 4096
 
     def __post_init__(self):
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if self.matrix != "random":
-            kind, _, cfg = self.matrix.partition(":")
-            if kind != "cauchy" or cfg not in CAUCHY_CONFIGS:
-                raise ValueError(f"unknown matrix kind {self.matrix!r}")
-
-
-def _generate(config: BenchConfig, n: int, seed: int) -> HodlrMatrix:
-    if config.matrix == "random":
-        return gen_random_hodlr(n, config.n_min, config.offdiag_rank, seed)
-    cfg = config.matrix.partition(":")[2]
-    return gen_cauchy_config(cfg, n=n, seed=seed, eps=config.eps,
-                             n_min=config.n_min, absolute_eps=config.absolute_eps)
+        check_matrix_kind(self.matrix)
 
 
 def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: int,
@@ -342,8 +351,7 @@ def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: in
         else:
             f = (cholqr if method == "cholqr" else cholqr2)(a, tc)
         rec.time_s = time.perf_counter() - start
-        m = metrics(a, f, eps=config.eps, estimate=estimate,
-                    dense_limit=config.dense_limit, compute_kappa=False,
+        m = metrics(a, f, eps=config.eps, estimate=estimate, compute_kappa=False,
                     compute_ranks=method != "dense")
         for key, val in m.items():
             setattr(rec, key, val)
@@ -363,9 +371,10 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """
     records = []
     for n in config.sizes:
-        estimate = config.estimate or n > config.dense_limit
+        estimate = config.estimate or n > DENSE_LIMIT
         for seed in config.seeds:
-            a = _generate(config, n, seed)
+            a = gen_matrix(config.matrix, n, config.n_min, seed, config.offdiag_rank,
+                           config.eps, config.absolute_eps)
             kappa2 = math.nan if estimate else _kappa2(a)
             tc = None
             if {"cholqr", "cholqr2"} & set(config.methods):
@@ -380,31 +389,19 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
 
 def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
                     seed: int = 0, offdiag_rank: int = 1,
-                    absolute_eps: bool = False, estimate: bool = False,
-                    dense_limit: int = 4096) -> list[BenchRecord]:
+                    absolute_eps: bool = False, estimate: bool = False) -> list[BenchRecord]:
     """Run hqr over a list of truncation tolerances on the same matrix
-    configuration, recording e_orth and e_acc per tolerance."""
+    configuration, one bench cell per tolerance (kappa2 is not computed)."""
     if not len(eps_list):
         raise ValueError("eps_list must be nonempty")
     records = []
     for eps in eps_list:
-        if matrix == "random":
-            a = gen_random_hodlr(n, n_min, offdiag_rank, seed)
-        else:
-            kind, _, cfg = matrix.partition(":")
-            if kind != "cauchy" or cfg not in CAUCHY_CONFIGS:
-                raise ValueError(f"unknown matrix kind {matrix!r}")
-            a = gen_cauchy_config(cfg, n=n, seed=seed, eps=eps, n_min=n_min,
-                                  absolute_eps=absolute_eps)
-        rec = BenchRecord(method="hqr", n=n, seed=seed, eps=eps)
-        start = time.perf_counter()
-        f = hqr(a, eps, absolute=absolute_eps)
-        rec.time_s = time.perf_counter() - start
-        m = metrics(a, f, eps=eps, estimate=estimate or n > dense_limit,
-                    dense_limit=dense_limit, compute_kappa=False)
-        for key, val in m.items():
-            setattr(rec, key, val)
-        records.append(rec)
+        config = BenchConfig(methods=("hqr",), sizes=(n,), seeds=(seed,), eps=eps,
+                             n_min=n_min, offdiag_rank=offdiag_rank, matrix=matrix,
+                             absolute_eps=absolute_eps, estimate=estimate)
+        a = gen_matrix(matrix, n, n_min, seed, offdiag_rank, eps, absolute_eps)
+        records.append(_run_cell(config, a, "hqr", n, seed, estimate or n > DENSE_LIMIT,
+                                 None))
     return records
 
 

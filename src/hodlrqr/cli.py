@@ -6,10 +6,9 @@ import sys
 
 from .bench import (
     BenchConfig,
-    CAUCHY_CONFIGS,
     METHODS,
-    gen_cauchy_config,
-    gen_random_hodlr,
+    check_matrix_kind,
+    gen_matrix,
     metrics,
     records_to_csv,
     run_bench,
@@ -22,13 +21,10 @@ from .io import read_hodlr, write_hodlr
 
 
 def _matrix_kind(value: str) -> str:
-    if value == "random":
-        return value
-    kind, _, cfg = value.partition(":")
-    if kind == "cauchy" and cfg in CAUCHY_CONFIGS:
-        return value
-    raise argparse.ArgumentTypeError(
-        f"expected random or cauchy:{{{'|'.join(CAUCHY_CONFIGS)}}}, got {value!r}")
+    try:
+        return check_matrix_kind(value)
+    except ValueError as err:  # argparse prints only this type's message
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _int_list(value: str) -> tuple:
@@ -97,12 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.matrix == "random":
-        h = gen_random_hodlr(args.n, args.nmin, args.rank, args.seed)
-    else:
-        cfg = args.matrix.partition(":")[2]
-        h = gen_cauchy_config(cfg, n=args.n, seed=args.seed, eps=args.eps,
-                              n_min=args.nmin, absolute_eps=args.absolute_eps)
+    h = gen_matrix(args.matrix, args.n, args.nmin, args.seed, args.rank, args.eps,
+                   args.absolute_eps)
     write_hodlr(h, args.out)
     s = stats(h)
     print(f"wrote {args.out}: n={h.n} level={h.level} "

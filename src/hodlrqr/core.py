@@ -256,6 +256,22 @@ def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
     return LowRankBlock(L, R, left_orthogonal=True)
 
 
+def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
+    """Sum of low-rank blocks, added left to right with a recompression at
+    tc after every addition to keep the ranks bounded.
+
+    An addition of two rank-0 operands keeps the left one unchanged.
+    """
+    blocks = iter(blocks)
+    total = next(blocks)
+    for b in blocks:
+        if total.rank == 0 and b.rank == 0:
+            continue
+        joined = LowRankBlock(np.hstack([total.L, b.L]), np.vstack([total.R, b.R]))
+        total = truncate_lowrank(joined, tc)
+    return total
+
+
 def recompress_hodlr(h: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     """Apply the recompression operator to every off-diagonal block."""
     if h.is_leaf:

@@ -1,6 +1,6 @@
 """Dense linear-algebra primitives used by every other module.
 
-Householder reflectors, economy QR, SVD with a reconstruction guarantee,
+Householder reflectors, SVD with a reconstruction guarantee,
 singular-value truncation ranks and block power-iteration spectral-norm
 estimates.
 """
@@ -63,14 +63,6 @@ def householder_reflector(v) -> HouseholderReflector:
     y[1:] = w[1:] / u1
     gamma = 2.0 / (1.0 + y[1:] @ y[1:])
     return HouseholderReflector(y=y, gamma=gamma, rho=rho)
-
-
-def qr_economy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economy-sized QR decomposition of a tall matrix (rows >= cols)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] < m.shape[1]:
-        raise ValueError(f"qr_economy expects rows >= cols, got shape {m.shape}")
-    return np.linalg.qr(m, mode="reduced")
 
 
 def svd(m: np.ndarray) -> SvdResult:

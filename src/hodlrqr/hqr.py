@@ -20,12 +20,11 @@ from .core import (
     all_finite,
     hodlr_identity,
     left_orthogonalize,
-    truncate_lowrank,
+    sum_lowrank,
 )
 from .arith import (
     add,
     apply_dense,
-    apply_transpose_dense,
     hodlr_spectral_norm,
     low_rank_update,
     multiply,
@@ -138,25 +137,18 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     # s_tilde = Y1^T [A12; A22; B_R2; C2], a sum of four low-rank terms,
     # truncated after every addition to keep ranks bounded
     a12, a22 = a_tilde.a12, a_tilde.a22
-    terms = [
-        LowRankBlock(apply_transpose_dense(y_a11, a12.L), a12.R),
-        LowRankBlock(y_a21.R.T, apply_transpose_dense(a22, y_a21.L).T),
+    s_tilde = sum_lowrank([
+        LowRankBlock(apply_dense(y_a11, a12.L, trans=True), a12.R),
+        LowRankBlock(y_a21.R.T, apply_dense(a22, y_a21.L, trans=True).T),
         LowRankBlock(y_br1.T, b_r2),
         LowRankBlock(y_c1.T, c2),
-    ]
-    s_tilde = terms[0]
-    for term in terms[1:]:
-        joined = LowRankBlock(np.hstack([s_tilde.L, term.L]),
-                              np.vstack([s_tilde.R, term.R]))
-        s_tilde = truncate_lowrank(joined, tc_abs)
+    ], tc_abs)
 
     # s = T1^T s_tilde
-    s = LowRankBlock(apply_transpose_dense(t1, s_tilde.L), s_tilde.R)
+    s = LowRankBlock(apply_dense(t1, s_tilde.L, trans=True), s_tilde.R)
 
     # update the second block column: subtract Y(:,1) S blockwise
-    a12_upd = truncate_lowrank(
-        LowRankBlock(np.hstack([a12.L, -apply_dense(y_a11, s.L)]),
-                     np.vstack([a12.R, s.R])), tc_abs)
+    a12_upd = sum_lowrank([a12, LowRankBlock(-apply_dense(y_a11, s.L), s.R)], tc_abs)
     cross = y_a21.L @ (y_a21.R @ s.L)
     a22_upd = low_rank_update(a22, -cross, s.R.T, tc_abs)
     b_r2_upd = b_r2 - (y_br1 @ s.L) @ s.R
@@ -171,18 +163,13 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     y_c2 = y2.y_c[r1:]
 
     # coupling block of T, truncated at the plain tolerance
-    t_terms = [
-        LowRankBlock(y_a21.R.T, apply_transpose_dense(y_a22, y_a21.L).T),
+    t_tilde12 = sum_lowrank([
+        LowRankBlock(y_a21.R.T, apply_dense(y_a22, y_a21.L, trans=True).T),
         LowRankBlock(y_br1.T, y_br2),
         LowRankBlock(y_c1.T, y_c2),
-    ]
-    t_tilde12 = t_terms[0]
-    for term in t_terms[1:]:
-        joined = LowRankBlock(np.hstack([t_tilde12.L, term.L]),
-                              np.vstack([t_tilde12.R, term.R]))
-        t_tilde12 = truncate_lowrank(joined, tc_plain)
+    ], tc_plain)
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
-                       apply_transpose_dense(t2, t_tilde12.R.T).T)
+                       apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12,
                     a21=LowRankBlock.zero(t2.n, t1.n),
@@ -198,26 +185,26 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     return StructuredY(y_a, LowRankBlock(b.L, y_b_rows, b.left_orthogonal), y_c), t, r
 
 
-def apply_q_transpose(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
-    """Q^T M = M - Y (T^T (Y^T M)) through HODLR matvecs."""
+def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:
+    # M - Y (T (Y^T M)), with T^T in place of T for ``trans``
     m = np.asarray(m, dtype=float)
     vec = m.ndim == 1
     x = m[:, None] if vec else m
     if x.shape[0] != f.y.n:
         raise ValueError("row counts do not match")
-    out = x - apply_dense(f.y, apply_transpose_dense(f.t, apply_transpose_dense(f.y, x)))
+    yt_x = apply_dense(f.y, x, trans=True)
+    out = x - apply_dense(f.y, apply_dense(f.t, yt_x, trans))
     return out[:, 0] if vec else out
+
+
+def apply_q_transpose(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
+    """Q^T M = M - Y (T^T (Y^T M)) through HODLR matvecs."""
+    return _apply_wy(f, m, trans=True)
 
 
 def apply_q(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
     """Q M = M - Y (T (Y^T M))."""
-    m = np.asarray(m, dtype=float)
-    vec = m.ndim == 1
-    x = m[:, None] if vec else m
-    if x.shape[0] != f.y.n:
-        raise ValueError("row counts do not match")
-    out = x - apply_dense(f.y, apply_dense(f.t, apply_transpose_dense(f.y, x)))
-    return out[:, 0] if vec else out
+    return _apply_wy(f, m, trans=False)
 
 
 def q_to_hodlr(f: HodlrQRFactors, eps: float) -> HodlrMatrix:

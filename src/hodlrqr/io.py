@@ -104,17 +104,25 @@ def _read_block(r: _Reader) -> LowRankBlock:
     return LowRankBlock(L, R, left_orthogonal=bool(flags & 1))
 
 
-def _read_tree(r: _Reader) -> HodlrMatrix:
+def _read_tree(r: _Reader, depth: int) -> HodlrMatrix:
+    """Read a subtree that may have at most ``depth`` levels of nodes."""
     tag = r.take(1)[0]
     if tag == 0x01:
         rows, cols = r.u64(), r.u64()
+        if rows != cols:
+            raise CorruptionError(f"leaf of shape {rows} x {cols} is not square")
         return HodlrMatrix(dense=r.floats(rows * cols).reshape(rows, cols))
     if tag == 0x02:
-        a11 = _read_tree(r)
+        if depth == 0:
+            raise CorruptionError("tree is deeper than the declared level")
+        a11 = _read_tree(r, depth - 1)
         a21 = _read_block(r)
         a12 = _read_block(r)
-        a22 = _read_tree(r)
-        return HodlrMatrix(a11=a11, a22=a22, a12=a12, a21=a21)
+        a22 = _read_tree(r, depth - 1)
+        try:
+            return HodlrMatrix(a11=a11, a22=a22, a12=a12, a21=a21)
+        except ValueError as err:  # block shapes that do not fit the children
+            raise CorruptionError(str(err)) from None
     raise CorruptionError(f"unknown tree tag 0x{tag:02x}")
 
 
@@ -135,8 +143,14 @@ def read_hodlr(path) -> HodlrMatrix:
         raise FormatError(f"unsupported format version {version}")
     n = r.u64()
     level = r.u32()
+    # 2**level leaf sizes of 8 bytes each must fit in what is left
+    remaining = len(r.data) - r.pos
+    if level >= remaining.bit_length() or 8 * 2 ** level > remaining:
+        raise CorruptionError(f"level {level} needs more bytes than the file holds")
     sizes = [r.u64() for _ in range(2 ** level)]
-    h = _read_tree(r)
+    if 0 in sizes:
+        raise CorruptionError("leaf sizes must be positive")
+    h = _read_tree(r, level)
     if r.pos != len(r.data):
         raise CorruptionError("trailing bytes after tree")
     if h.n != n or h.leaf_sizes() != tuple(sizes):

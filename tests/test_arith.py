@@ -7,7 +7,7 @@ from hodlrqr import (
     LowRankBlock,
     TruncationControl,
     add,
-    apply_transpose_dense,
+    apply_dense,
     build_partition,
     cholesky,
     from_dense,
@@ -22,7 +22,7 @@ from hodlrqr import (
     to_dense,
     transpose,
 )
-from hodlrqr.arith import solve_upper_dense, solve_upper_transpose_dense
+from hodlrqr.arith import solve_upper_dense
 from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr_pair, spd_hodlr_pair
@@ -68,7 +68,7 @@ def test_matvec_dimension_mismatch(rng):
 def test_apply_transpose_matches_dense(rng):
     h, dense, _ = random_hodlr_pair(120, 30, rank=2, seed=10)
     x = rng.standard_normal((120, 4))
-    assert np.allclose(apply_transpose_dense(h, x), dense.T @ x, atol=1e-11)
+    assert np.allclose(apply_dense(h, x, trans=True), dense.T @ x, atol=1e-11)
 
 
 def test_add_cancellation(rng):
@@ -254,7 +254,7 @@ def test_solve_dense_helpers(rng):
     b = rng.standard_normal((128, 3))
     x = solve_upper_dense(r, b)
     assert np.linalg.norm(r_dense @ x - b) <= 1e-8 * np.linalg.norm(b)
-    xt = solve_upper_transpose_dense(r, b)
+    xt = solve_upper_dense(r, b, trans=True)
     assert np.linalg.norm(r_dense.T @ xt - b) <= 1e-8 * np.linalg.norm(b)
 
 

@@ -5,12 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from hodlrqr import hqr, read_hodlr, stats, to_dense
+from hodlrqr import bench, hqr, read_hodlr, stats, to_dense
 from hodlrqr.bench import (
     BenchConfig,
     CSV_HEADER,
+    check_matrix_kind,
     gen_cauchy,
     gen_cauchy_config,
+    gen_matrix,
     gen_random_hodlr,
     metrics,
     records_to_csv,
@@ -89,11 +91,12 @@ def test_metrics_estimate_agrees_with_dense():
     assert est["e_acc"] == pytest.approx(exact["e_acc"], rel=5e-3)
 
 
-def test_metrics_size_limit_error():
+def test_metrics_size_limit_error(monkeypatch):
     a = gen_random_hodlr(128, 32, seed=0)
     f = hqr(a, 1e-12)
+    monkeypatch.setattr(bench, "DENSE_LIMIT", 64)
     with pytest.raises(ValueError, match="--estimate"):
-        metrics(a, f, estimate=False, dense_limit=64)
+        metrics(a, f, estimate=False)
 
 
 def test_run_bench_cardinality_and_header():
@@ -147,6 +150,35 @@ def test_tolerance_sweep_rows():
     assert [r.eps for r in recs] == [1e-4, 1e-8]
     assert all(r.method == "hqr" for r in recs)
     assert recs[1].e_acc <= recs[0].e_acc
+
+
+@pytest.mark.parametrize("matrix", ["random", "cauchy:a2"])
+@pytest.mark.parametrize("estimate", [False, True])
+def test_tolerance_sweep_row_matches_bench_row(matrix, estimate):
+    config = BenchConfig(methods=("hqr",), sizes=(128,), seeds=(2,), eps=1e-8, n_min=32,
+                         offdiag_rank=2, matrix=matrix, estimate=estimate)
+    bench_rec = run_bench(config)[0]
+    sweep_rec = tolerance_sweep(matrix, [1e-8], n=128, n_min=32, seed=2, offdiag_rank=2,
+                                estimate=estimate)[0]
+    assert math.isnan(sweep_rec.kappa2)
+    header = CSV_HEADER.split(",")
+    skip = {header.index("time_s"), header.index("kappa2")}
+
+    def kept(rec):
+        return [c for i, c in enumerate(rec.to_csv_row().split(",")) if i not in skip]
+
+    assert kept(sweep_rec) == kept(bench_rec)
+    assert sweep_rec.failed == 0
+
+
+def test_tolerance_sweep_hqr_failure_row(monkeypatch):
+    def broken_hqr(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular leaf")
+
+    monkeypatch.setattr(bench, "hqr", broken_hqr)
+    recs = tolerance_sweep("random", [1e-4, 1e-8], n=64, n_min=32)
+    assert [r.failed for r in recs] == [1, 1]
+    assert all(math.isnan(r.e_orth) and r.to_csv_row().endswith(",1") for r in recs)
 
 
 def test_csv_nan_spelling():
@@ -219,6 +251,19 @@ def test_cli_entry_point_runs():
     assert "gen" in proc.stdout and "bench" in proc.stdout
 
 
-def test_cli_rejects_bad_matrix_kind():
-    with pytest.raises(SystemExit):
-        main(["gen", "--matrix", "cauchy:a9", "--out", "x"])
+def test_cli_rejects_bad_matrix_kind(tmp_path, capsys):
+    with pytest.raises(ValueError) as err:
+        check_matrix_kind("cauchy:a9")
+    message = str(err.value)
+    assert "'cauchy:a9'" in message and "cauchy:{a1|a2|a3}" in message
+    for make in (lambda: BenchConfig(matrix="cauchy:a9"),
+                 lambda: tolerance_sweep("cauchy:a9", [1e-8], n=64, n_min=32),
+                 lambda: gen_matrix("cauchy:a9", 64, 32)):
+        with pytest.raises(ValueError) as other:
+            make()
+        assert str(other.value) == message
+    for command in ("gen", "bench", "sweep"):
+        with pytest.raises(SystemExit):
+            main([command, "--matrix", "cauchy:a9", "--out", str(tmp_path / "x")])
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

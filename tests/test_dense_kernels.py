@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hodlrqr import (
     householder_reflector,
-    qr_economy,
     spectral_norm_estimate,
     svd,
     truncation_rank,
@@ -72,32 +71,6 @@ def test_reflector_subnormal_entries_stay_orthogonal():
     p = np.eye(2) - r.gamma * np.outer(r.y, r.y)
     assert np.linalg.norm(p.T @ p - np.eye(2), 2) <= EYE_TOL
     assert abs(r.apply(v)[1]) <= 5e-324
-
-
-def test_qr_economy_identity():
-    q, r = qr_economy(np.eye(3))
-    assert np.allclose(np.abs(q), np.eye(3))
-    assert np.allclose(np.abs(r), np.eye(3))
-
-
-def test_qr_economy_single_column():
-    q, r = qr_economy(np.array([[3.0], [4.0]]))
-    assert abs(r[0, 0]) == pytest.approx(5.0)
-    assert np.allclose(np.abs(q[:, 0]), [0.6, 0.8])
-
-
-def test_qr_economy_random(rng):
-    m = rng.standard_normal((50, 20))
-    q, r = qr_economy(m)
-    assert q.shape == (50, 20) and r.shape == (20, 20)
-    assert np.linalg.norm(q.T @ q - np.eye(20), 2) <= 1e-14
-    assert np.linalg.norm(q @ r - m, 2) / np.linalg.norm(m, 2) <= 1e-14
-    assert np.allclose(r, np.triu(r))
-
-
-def test_qr_economy_rejects_wide():
-    with pytest.raises(ValueError):
-        qr_economy(np.ones((2, 3)))
 
 
 def test_svd_diagonal():

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from hodlrqr import (
     read_hodlr,
     recompress_hodlr,
     stats,
+    sum_lowrank,
     to_dense,
     truncate_lowrank,
     truncation_rank,
@@ -156,6 +160,37 @@ def test_truncate_retained_rank_matches_exact_singular_values(rng):
         out = truncate_lowrank(LowRankBlock(L, R), TruncationControl(eps))
         assert out.rank == truncation_rank(sigma, eps)
         assert np.linalg.norm(out.to_dense() - L @ R, 2) <= eps * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_sum_lowrank_matches_pairwise_chain(rng, count):
+    # the third term lies in the span of the first, so truncation drops rank
+    blocks = [LowRankBlock(rng.standard_normal((30, k)), rng.standard_normal((k, 25)))
+              for k in (2, 3)]
+    blocks.append(LowRankBlock(blocks[0].L @ rng.standard_normal((2, 1)),
+                               rng.standard_normal((1, 25))))
+    blocks.append(LowRankBlock(rng.standard_normal((30, 1)), rng.standard_normal((1, 25))))
+    blocks = blocks[:count]
+    tc = TruncationControl(1e-10)
+    expect = blocks[0]
+    for b in blocks[1:]:
+        joined = LowRankBlock(np.hstack([expect.L, b.L]), np.vstack([expect.R, b.R]))
+        expect = truncate_lowrank(joined, tc)
+    out = sum_lowrank(blocks, tc)
+    assert np.array_equal(out.L, expect.L) and np.array_equal(out.R, expect.R)
+    assert out.left_orthogonal
+    assert out.rank == sum(b.rank for b in blocks) - 1
+
+
+def test_sum_lowrank_rank_zero_operands_keep_first_block(rng):
+    first = LowRankBlock(np.zeros((5, 0)), np.zeros((0, 4)))
+    tc = TruncationControl(1e-10)
+    assert sum_lowrank([first, LowRankBlock.zero(5, 4)], tc) is first
+    assert sum_lowrank([first, LowRankBlock.zero(5, 4), LowRankBlock.zero(5, 4)], tc) is first
+    nonzero = LowRankBlock(rng.standard_normal((5, 1)), rng.standard_normal((1, 4)))
+    out = sum_lowrank([first, nonzero], tc)
+    assert out.rank == 1 and out.left_orthogonal
+    assert np.allclose(out.to_dense(), nonzero.to_dense())
 
 
 def test_left_orthogonalize_one_column():
@@ -309,4 +344,37 @@ def test_read_bit_flip_raises_corruption(tmp_path, rng):
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptionError):
+        read_hodlr(path)
+
+
+def _write_crafted(path, level, sizes, tree):
+    """HDLR1 file with the given header fields and tree bytes and a valid CRC."""
+    payload = (b"HDLR1\x00" + struct.pack("<IQI", 1, sum(sizes), level)
+               + b"".join(struct.pack("<Q", s) for s in sizes) + tree)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _leaf(rows, cols):
+    return b"\x01" + struct.pack("<QQ", rows, cols) + bytes(8 * rows * cols)
+
+
+def _block(n_rows, n_cols):
+    return struct.pack("<QQQ", n_rows, n_cols, 0) + b"\x00"
+
+
+# the checksums are valid, so each fault must be caught by a structure check
+@pytest.mark.parametrize("level, sizes, tree, match", [
+    (2 ** 27, [], _leaf(1, 1), "level"),
+    (2 ** 32 - 1, [], _leaf(1, 1), "level"),
+    (0, [1], b"\x02" * 5000, "deeper"),
+    (1, [1, 1], b"\x02" * 5000, "deeper"),
+    (0, [2], _leaf(2, 3), "not square"),
+    (0, [0], _leaf(0, 0), "positive"),
+    (1, [1, 1], b"\x02" + _leaf(1, 1) + _block(2, 1) + _block(1, 1) + _leaf(1, 1),
+     "block shapes"),
+])
+def test_read_crafted_file_raises_corruption(tmp_path, level, sizes, tree, match):
+    path = tmp_path / "m.hdlr1"
+    _write_crafted(path, level, sizes, tree)
+    with pytest.raises(CorruptionError, match=match):
         read_hodlr(path)

@@ -20,7 +20,7 @@ from hodlrqr import (
     to_dense,
     transpose,
 )
-from hodlrqr.arith import apply_transpose_dense
+from hodlrqr.arith import apply_dense
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr_pair
@@ -152,8 +152,8 @@ def test_hqr_rec_sum_terms_match_dense_oracle():
 
     # low-rank route, mirroring the recursion
     terms = [
-        LowRankBlock(apply_transpose_dense(y1.y_a, a.a12.L), a.a12.R),
-        LowRankBlock(y1.y_b.R.T, apply_transpose_dense(a.a22, y1.y_b.L).T),
+        LowRankBlock(apply_dense(y1.y_a, a.a12.L, trans=True), a.a12.R),
+        LowRankBlock(y1.y_b.R.T, apply_dense(a.a22, y1.y_b.L, trans=True).T),
         LowRankBlock(y1.y_c[:r1].T, b.R[:, m1:]),
         LowRankBlock(y1.y_c[r1:].T, c[:, m1:]),
     ]
