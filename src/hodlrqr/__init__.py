@@ -12,7 +12,6 @@ from .arith import (
     cholesky,
     hodlr_spectral_norm,
     low_rank_update,
-    matvec,
     multiply,
     scale,
     solve_upper_triangular_right,
@@ -28,16 +27,13 @@ from .core import (
     from_dense,
     hodlr_identity,
     left_orthogonalize,
-    recompress_hodlr,
     stats,
     sum_lowrank,
     to_dense,
     truncate_lowrank,
 )
 from .dense import (
-    HouseholderReflector,
     SvdResult,
-    householder_reflector,
     spectral_norm_estimate,
     svd,
     truncation_rank,
@@ -54,21 +50,20 @@ from .hqr import (
 )
 from .io import CorruptionError, FormatError, read_hodlr, write_hodlr
 from .rect import RectHodlr, RectQRFactors, rect_qr_prototype
-from .wy import DenseWY, block_qr, wy_apply_q, wy_apply_qt
+from .wy import DenseWY, block_qr
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CholeskyBreakdownError", "CorruptionError", "DenseWY", "FormatError",
-    "HodlrMatrix", "HodlrQRFactors", "HouseholderReflector", "LowRankBlock",
-    "PartitionTree", "RectHodlr", "RectQRFactors", "StructuredColumn",
-    "StructuredY", "SvdResult", "TruncationControl", "add", "apply_dense",
-    "apply_q", "apply_q_transpose", "block_qr", "build_partition", "cholesky",
-    "cholqr", "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm",
-    "householder_reflector", "hqr", "hqr_rec", "left_orthogonalize",
-    "low_rank_update", "matvec", "multiply", "q_to_hodlr", "read_hodlr",
-    "recompress_hodlr", "rect_qr_prototype", "scale",
+    "HodlrMatrix", "HodlrQRFactors", "LowRankBlock", "PartitionTree",
+    "RectHodlr", "RectQRFactors", "StructuredColumn", "StructuredY",
+    "SvdResult", "TruncationControl", "add", "apply_dense", "apply_q",
+    "apply_q_transpose", "block_qr", "build_partition", "cholesky", "cholqr",
+    "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm", "hqr",
+    "hqr_rec", "left_orthogonalize", "low_rank_update", "multiply",
+    "q_to_hodlr", "read_hodlr", "rect_qr_prototype", "scale",
     "solve_upper_triangular_right", "spectral_norm_estimate", "stats",
     "sum_lowrank", "svd", "to_dense", "transpose", "truncate_lowrank",
-    "truncation_rank", "wy_apply_q", "wy_apply_qt", "write_hodlr",
+    "truncation_rank", "write_hodlr",
 ]

@@ -56,14 +56,6 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarra
     return np.concatenate([top, bot], axis=0)
 
 
-def matvec(h: HodlrMatrix, v: np.ndarray) -> np.ndarray:
-    """Exact matrix-vector product H @ v."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("matvec expects a vector; use apply_dense for matrices")
-    return apply_dense(h, v[:, None])[:, 0]
-
-
 def transpose(h: HodlrMatrix) -> HodlrMatrix:
     """Structural transpose; factors are swapped without copying data."""
     if h.is_leaf:
@@ -269,4 +261,4 @@ def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -
     """Block power-iteration estimate of ||H||_2 through HODLR block products."""
     return spectral_norm_estimate(
         lambda x: apply_dense(h, x), lambda x: apply_dense(h, x, trans=True),
-        h.n, max_iter=max_iter, tol=tol, blocks=True)
+        h.n, max_iter=max_iter, tol=tol)

@@ -112,8 +112,7 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
 
 
 def _dense_norm_estimate(a: np.ndarray) -> float:
-    return spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, a.shape[1],
-                                  blocks=True)
+    return spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, a.shape[1])
 
 
 def gen_random_rect_dense(m: int, n: int, n_min: int = 250, offdiag_rank: int = 1,
@@ -195,6 +194,15 @@ def check_matrix_kind(kind: str) -> str:
                      f"cauchy:{{{'|'.join(CAUCHY_CONFIGS)}}}")
 
 
+def check_methods(methods) -> tuple:
+    """Return methods as a tuple if every entry names a benchmark method;
+    raise ValueError otherwise."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    return tuple(methods)
+
+
 def gen_matrix(kind: str, n: int, n_min: int = 250, seed: int = 0, offdiag_rank: int = 1,
                eps: float = 1e-10, absolute_eps: bool = False) -> HodlrMatrix:
     """Benchmark matrix of the given kind: gen_random_hodlr with
@@ -209,7 +217,7 @@ def gen_matrix(kind: str, n: int, n_min: int = 250, seed: int = 0, offdiag_rank:
 # The bound 10 sqrt(2/pi) max_i ||E w_i|| holds with probability 1 - 10^-b.
 ESTIMATE_BLOCK = 8
 ESTIMATE_SEED = 0
-_ESTIMATE = dict(max_iter=30, tol=1e-6, blocks=True, with_bound=True)
+_ESTIMATE = dict(max_iter=30, tol=1e-6, with_bound=True)
 
 
 def _linear_operator(n: int, fwd, bwd) -> LinearOperator:
@@ -308,12 +316,6 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
     return out
 
 
-def metrics_explicit(a, q, r, estimate: bool = False) -> dict:
-    """e_orth and e_acc (and their bounds) for a QR decomposition with Q
-    given explicitly (the Cholesky-based baselines)."""
-    return qr_errors(_operator(a), _operator(q), _operator(r), estimate)
-
-
 def _kappa2(a) -> float:
     a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
     return float(np.linalg.cond(a_d, 2))
@@ -332,9 +334,7 @@ class BenchConfig:
     estimate: bool = False
 
     def __post_init__(self):
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        check_methods(self.methods)
         check_matrix_kind(self.matrix)
 
 

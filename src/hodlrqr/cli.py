@@ -6,8 +6,8 @@ import sys
 
 from .bench import (
     BenchConfig,
-    METHODS,
     check_matrix_kind,
+    check_methods,
     gen_matrix,
     metrics,
     records_to_csv,
@@ -20,11 +20,15 @@ from .hqr import hqr
 from .io import read_hodlr, write_hodlr
 
 
-def _matrix_kind(value: str) -> str:
+def _checked(check, value):
     try:
-        return check_matrix_kind(value)
+        return check(value)
     except ValueError as err:  # argparse prints only this type's message
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _matrix_kind(value: str) -> str:
+    return _checked(check_matrix_kind, value)
 
 
 def _int_list(value: str) -> tuple:
@@ -36,11 +40,7 @@ def _float_list(value: str) -> tuple:
 
 
 def _methods_list(value: str) -> tuple:
-    methods = tuple(tok for tok in value.split(",") if tok)
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}")
-    return methods
+    return _checked(check_methods, [tok for tok in value.split(",") if tok])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("qr", help="decompose an HDLR1 file, write factor triple")
     q.add_argument("input")
     q.add_argument("--eps", type=float, default=1e-10)
-    q.add_argument("--nb", type=int, default=32)
     q.add_argument("--absolute-eps", action="store_true")
     q.add_argument("--estimate", action="store_true",
                    help="block power-iteration metrics with bounds instead of densifying")
@@ -104,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_qr(args) -> int:
     a = read_hodlr(args.input)
-    f = hqr(a, args.eps, n_b=args.nb, absolute=args.absolute_eps)
+    f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")
     m = metrics(a, f, eps=args.eps, estimate=args.estimate)

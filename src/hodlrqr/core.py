@@ -272,19 +272,6 @@ def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
     return total
 
 
-def recompress_hodlr(h: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
-    """Apply the recompression operator to every off-diagonal block."""
-    if h.is_leaf:
-        return h
-    return HodlrMatrix(
-        a11=recompress_hodlr(h.a11, tc),
-        a22=recompress_hodlr(h.a22, tc),
-        a12=truncate_lowrank(h.a12, tc),
-        a21=truncate_lowrank(h.a21, tc),
-        shape_tag=h.shape_tag,
-    )
-
-
 def stats(h: HodlrMatrix) -> dict:
     """Maximal off-diagonal rank and memory footprint in stored scalars."""
     max_rank = 0

@@ -1,8 +1,7 @@
 """Dense linear-algebra primitives used by every other module.
 
-Householder reflectors, SVD with a reconstruction guarantee,
-singular-value truncation ranks and block power-iteration spectral-norm
-estimates.
+SVD with a reconstruction guarantee, singular-value truncation ranks and
+block power-iteration spectral-norm estimates.
 """
 
 from dataclasses import dataclass
@@ -12,57 +11,12 @@ import scipy.linalg
 
 
 @dataclass(frozen=True)
-class HouseholderReflector:
-    """Reflector I - gamma * y y^T with y[0] = 1.
-
-    ``rho`` is the leading entry produced when the reflector is applied to
-    the vector it was computed from.
-    """
-
-    y: np.ndarray
-    gamma: float
-    rho: float
-
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        """Return (I - gamma y y^T) @ m for a vector or matrix m."""
-        if self.gamma == 0.0:
-            return np.array(m, dtype=float)
-        m = np.asarray(m, dtype=float)
-        return m - self.gamma * np.outer(self.y, self.y @ m).reshape(m.shape)
-
-
-@dataclass(frozen=True)
 class SvdResult:
     """Factors of M = U @ diag(sigma) @ V.T with sigma nonincreasing."""
 
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-
-
-def householder_reflector(v) -> HouseholderReflector:
-    """Compute the Householder reflector annihilating v below its first entry.
-
-    Sign convention: the produced leading entry is rho = -sign(v[0]) * ||v||
-    with sign(0) taken as +1, which avoids cancellation when forming y.
-    A zero vector yields gamma = 0 (identity reflector).
-    """
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("householder_reflector requires a nonempty vector")
-    y = np.zeros(v.size)
-    y[0] = 1.0
-    amax = np.max(np.abs(v))
-    if amax == 0.0:
-        return HouseholderReflector(y=y, gamma=0.0, rho=0.0)
-    w = v / amax  # guard the norm against under/overflow
-    norm_w = np.linalg.norm(w)
-    sign = -1.0 if v[0] < 0 else 1.0
-    rho = -sign * amax * norm_w
-    u1 = w[0] + sign * norm_w  # no cancellation
-    y[1:] = w[1:] / u1
-    gamma = 2.0 / (1.0 + y[1:] @ y[1:])
-    return HouseholderReflector(y=y, gamma=gamma, rho=rho)
 
 
 def svd(m: np.ndarray) -> SvdResult:
@@ -87,14 +41,6 @@ def truncation_rank(sigma, eps: float) -> int:
     return int(np.sum(sigma > eps))
 
 
-def _columnwise(apply):
-    """Push an n x b block through a callable that takes single vectors."""
-    def apply_block(x):
-        return np.column_stack(
-            [np.asarray(apply(x[:, i]), dtype=float) for i in range(x.shape[1])])
-    return apply_block
-
-
 # Halko, Martinsson and Tropp 2011, eq. (4.3): ||A|| <= 10 sqrt(2/pi) max_i
 # ||A w_i|| with probability at least 1 - 10^-b for b standard Gaussian w_i
 _GAUSSIAN_BOUND_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
@@ -102,15 +48,16 @@ _GAUSSIAN_BOUND_FACTOR = 10.0 * np.sqrt(2.0 / np.pi)
 
 def spectral_norm_estimate(apply, apply_transpose, n: int,
                            max_iter: int = 50, tol: float = 1e-3, start=None,
-                           blocks: bool = False, with_bound: bool = False):
+                           with_bound: bool = False):
     """Estimate the spectral norm of a linear operator on R^n.
 
-    Block power iteration on A^T A: each round applies A to an orthonormal
-    n x b block, A^T to the image, and takes the top Ritz value.  Stops
-    once the Ritz residual certifies the dominant eigenvalue of A^T A to a
-    relative 2*tol, giving a relative error around tol in the norm itself,
-    or after ``max_iter`` rounds.  The estimate is ||A v|| for a unit v in
-    the block's span, so it never exceeds the norm.
+    ``apply`` and ``apply_transpose`` map an n x b block to its image under
+    A and A^T.  Block power iteration on A^T A: each round applies A to an
+    orthonormal n x b block, A^T to the image, and takes the top Ritz
+    value.  Stops once the Ritz residual certifies the dominant eigenvalue
+    of A^T A to a relative 2*tol, giving a relative error around tol in the
+    norm itself, or after ``max_iter`` rounds.  The estimate is ||A v|| for
+    a unit v in the block's span, so it never exceeds the norm.
 
     ``start`` is the n x b start block.  The default holds two
     deterministic vectors: the normalized all-ones vector and a fixed
@@ -118,10 +65,6 @@ def spectral_norm_estimate(apply, apply_transpose, n: int,
     to the top singular vector, which no stopping rule detects).  With the
     default tol and max_iter this gives two correct digits, enough for
     scaling a truncation threshold.
-
-    With ``blocks`` the callables map an n x b block to its image in one
-    call, so each round makes one call of each; otherwise they take single
-    vectors and the block goes through column by column.
 
     With ``with_bound`` the result is the pair (estimate, bound), where
     bound = 10 sqrt(2/pi) max_i ||A w_i|| over the start columns w_i.  For
@@ -134,8 +77,6 @@ def spectral_norm_estimate(apply, apply_transpose, n: int,
     if start is None:
         rng = np.random.default_rng(0x5EED)
         start = np.column_stack([np.full(n, 1.0 / np.sqrt(n)), rng.standard_normal(n)])
-    if not blocks:
-        apply, apply_transpose = _columnwise(apply), _columnwise(apply_transpose)
     x, coeffs = np.linalg.qr(np.asarray(start, dtype=float))
     est = bound = 0.0
     for it in range(max_iter):

@@ -77,8 +77,7 @@ class HodlrQRFactors:
     r: HodlrMatrix
 
 
-def hqr(a: HodlrMatrix, eps: float, n_b: int = 32,
-        absolute: bool = False) -> HodlrQRFactors:
+def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     """QR decomposition of a square HODLR matrix.
 
     By default ``eps`` is the relative truncation tolerance: intermediate
@@ -91,12 +90,12 @@ def hqr(a: HodlrMatrix, eps: float, n_b: int = 32,
     if not all_finite(a):
         raise ValueError("hqr input has non-finite entries (inf or nan)")
     eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)
-    y, t, r = hqr_rec(StructuredColumn.whole_matrix(a), eps_abs, eps, n_b)
+    y, t, r = hqr_rec(StructuredColumn.whole_matrix(a), eps_abs, eps)
     return HodlrQRFactors(y=y.y_a, t=t, r=r)
 
 
-def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
-            n_b: int = 32) -> tuple[StructuredY, HodlrMatrix, HodlrMatrix]:
+def hqr_rec(col: StructuredColumn, eps_abs: float,
+            eps_plain: float) -> tuple[StructuredY, HodlrMatrix, HodlrMatrix]:
     """One recursion step on a structured block column.
 
     Returns (Y, T, R) with Y mirroring the column structure, and T, R
@@ -111,9 +110,9 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     tc_plain = TruncationControl(eps_plain)
 
     if a_tilde.is_leaf:
-        # compressed column [A; B_R; C] reduced by dense recursive QR
+        # compressed column [A; B_R; C] reduced by dense Householder QR
         h_tilde = np.vstack([a_tilde.dense, b.R, c])
-        wy, r_dense = block_qr(h_tilde, n_b)
+        wy, r_dense = block_qr(h_tilde)
         y_a = HodlrMatrix(dense=wy.Y[:m], shape_tag=UNIT_LOWER_TRIANGULAR)
         y_b_rows = wy.Y[m:m + r1]
         y_c = wy.Y[m + r1:]
@@ -128,7 +127,7 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     # first block column [A11; A21; B_R1; C1] has the same structure one
     # level down
     col1 = StructuredColumn(a_tilde.a11, a_tilde.a21, np.vstack([b_r1, c1]))
-    y1, t1, r1_fac = hqr_rec(col1, eps_abs, eps_plain, n_b)
+    y1, t1, r1_fac = hqr_rec(col1, eps_abs, eps_plain)
     y_a11 = y1.y_a
     y_a21 = y1.y_b
     y_br1 = y1.y_c[:r1]
@@ -157,7 +156,7 @@ def hqr_rec(col: StructuredColumn, eps_abs: float, eps_plain: float,
     # unreduced part of the second block column, with empty low-rank part
     col2 = StructuredColumn(a22_upd, LowRankBlock.zero(0, a22_upd.n),
                             np.vstack([b_r2_upd, c2_upd]))
-    y2, t2, r2_fac = hqr_rec(col2, eps_abs, eps_plain, n_b)
+    y2, t2, r2_fac = hqr_rec(col2, eps_abs, eps_plain)
     y_a22 = y2.y_a
     y_br2 = y2.y_c[:r1]
     y_c2 = y2.y_c[r1:]

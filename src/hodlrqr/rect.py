@@ -100,8 +100,7 @@ class RectQRFactors:
 
 
 def rect_qr_prototype(a: np.ndarray, tree_rows: PartitionTree,
-                      tree_cols: PartitionTree, eps: float,
-                      n_b: int = 32) -> RectQRFactors:
+                      tree_cols: PartitionTree, eps: float) -> RectQRFactors:
     """Permuted QR decomposition of a rectangular block matrix.
 
     Block column j is reduced so that its triangle sits on top of the j-th
@@ -140,7 +139,7 @@ def rect_qr_prototype(a: np.ndarray, tree_rows: PartitionTree,
         others = others[~np.isin(others, tri)]
         perm_rows = np.concatenate([tri, others])
 
-        wy, r_j = block_qr(w[perm_rows, c0:c1], n_b)
+        wy, r_j = block_qr(w[perm_rows, c0:c1])
         y_j = np.zeros((m, nj))
         y_j[perm_rows] = wy.Y
 

@@ -1,11 +1,9 @@
-"""Recursive block QR decomposition of a dense tall matrix with the
+"""Householder QR decomposition of a dense tall matrix with the
 orthogonal factor held in compact WY form Q = I - Y T Y^T."""
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dense import householder_reflector
 
 
 @dataclass(frozen=True)
@@ -17,55 +15,17 @@ class DenseWY:
     T: np.ndarray
 
 
-def _unblocked_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder QR of a (copied) h x w panel, assembling T on the fly.
-
-    Each new reflector appends the column -gamma * T @ (Y^T y) and the
-    diagonal entry gamma, keeping T upper triangular in a single pass.
-    """
-    a = np.array(a, dtype=float)
-    h, w = a.shape
-    Y = np.zeros((h, w))
-    T = np.zeros((w, w))
-    for j in range(w):
-        refl = householder_reflector(a[j:, j])
-        y = np.zeros(h)
-        y[j:] = refl.y
-        a[j, j] = refl.rho
-        a[j + 1:, j] = 0.0
-        if refl.gamma != 0.0 and j + 1 < w:
-            tail = a[j:, j + 1:]
-            tail -= refl.gamma * np.outer(refl.y, refl.y @ tail)
-        if j > 0:
-            T[:j, j] = -refl.gamma * (T[:j, :j] @ (Y[:, :j].T @ y))
-        T[j, j] = refl.gamma
-        Y[:, j] = y
-    return Y, T, np.triu(a[:w, :w])
-
-
-def _block_qr_rec(a: np.ndarray, n_b: int):
-    h, w = a.shape
-    if w <= n_b:
-        return _unblocked_qr(a)
-    n1 = w // 2
-    a = np.array(a, dtype=float)
-    Y1, T1, R1 = _block_qr_rec(a[:, :n1], n_b)
-    a2 = a[:, n1:]
-    a2 -= Y1 @ (T1.T @ (Y1.T @ a2))
-    Y2, T2, R2 = _block_qr_rec(a2[n1:, :], n_b)
-    T12 = -T1 @ ((Y1[n1:, :].T @ Y2) @ T2)
-    Y = np.hstack([Y1, np.vstack([np.zeros((n1, w - n1)), Y2])])
-    T = np.block([[T1, T12], [np.zeros((w - n1, n1)), T2]])
-    R = np.block([[R1, a2[:n1, :]], [np.zeros((w - n1, n1)), R2]])
-    return Y, T, R
-
-
-def block_qr(a: np.ndarray, n_b: int = 32) -> tuple[DenseWY, np.ndarray]:
+def block_qr(a: np.ndarray) -> tuple[DenseWY, np.ndarray]:
     """QR decomposition A = (I - Y T Y^T) [R; 0] for an m x n matrix, m >= n.
 
-    Columns are split at floor(n/2) recursively; panels of at most n_b
-    columns fall back to unblocked Householder QR.  A zero column yields a
-    gamma = 0 step (identity reflector) and a zero diagonal entry in R.
+    The reflectors come from LAPACK geqrf through numpy, so the QR runs on
+    numpy's BLAS.  T is assembled by the forward recurrence of LAPACK
+    larft: reflector j appends the column -tau_j T (Y^T y_j) and the
+    diagonal entry tau_j.  LAPACK's sign convention gives R[j, j] =
+    -sign(x_0) ||x|| for the column x being reduced, except where x has
+    nothing left to annihilate below its first entry (a zero column or the
+    last column of a square matrix): then tau_j = 0, the reflector is the
+    identity and R[j, j] = x_0.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -73,23 +33,13 @@ def block_qr(a: np.ndarray, n_b: int = 32) -> tuple[DenseWY, np.ndarray]:
     m, n = a.shape
     if m < n or n < 1:
         raise ValueError(f"block_qr requires rows >= cols >= 1, got {a.shape}")
-    if n_b < 1:
-        raise ValueError("n_b must be >= 1")
-    Y, T, R = _block_qr_rec(a, n_b)
-    return DenseWY(Y=Y, T=T), R
-
-
-def wy_apply_qt(wy: DenseWY, m: np.ndarray) -> np.ndarray:
-    """Q^T M = M - Y (T^T (Y^T M))."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] != wy.Y.shape[0]:
-        raise ValueError("row counts do not match")
-    return m - wy.Y @ (wy.T.T @ (wy.Y.T @ m))
-
-
-def wy_apply_q(wy: DenseWY, m: np.ndarray) -> np.ndarray:
-    """Q M = M - Y (T (Y^T M))."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] != wy.Y.shape[0]:
-        raise ValueError("row counts do not match")
-    return m - wy.Y @ (wy.T @ (wy.Y.T @ m))
+    h, tau = np.linalg.qr(a, mode="raw")
+    h = h.T  # raw mode returns the LAPACK output transposed
+    Y = np.tril(h, -1)
+    np.fill_diagonal(Y, 1.0)
+    gram = Y.T @ Y
+    T = np.zeros((n, n))
+    for j in range(n):
+        T[:j, j] = -tau[j] * (T[:j, :j] @ gram[:j, j])
+        T[j, j] = tau[j]
+    return DenseWY(Y=Y, T=T), np.triu(h[:n])

@@ -31,7 +31,6 @@ from hodlrqr.bench import (
     gen_random_hodlr,
     gen_random_rect_dense,
     metrics,
-    metrics_explicit,
     tolerance_sweep,
 )
 from hodlrqr.dense import spectral_norm_estimate
@@ -89,7 +88,8 @@ def test_criterion_3_cauchy_robustness():
         if name == "a3":
             try:
                 q, r = cholqr(a, TruncationControl(1e-10 * norm))
-                cholqr_a3 = metrics_explicit(a, q, r, estimate=True)["e_orth"]
+                cholqr_a3 = metrics(a, (q, r), estimate=True, compute_kappa=False,
+                                    compute_ranks=False)["e_orth"]
             except CholeskyBreakdownError:
                 cholqr_a3 = math.inf  # breakdown counts as failure
         rows[-1] = (name, m, norm)
@@ -124,9 +124,9 @@ def test_criterion_4_cholqr_degradation_law():
         f = hqr(a, eps)
         e_hqr = metrics(a, f, compute_kappa=False, compute_ranks=False)["e_orth"]
         q1, r1 = cholqr(a, tc)
-        e_c1 = metrics_explicit(a, q1, r1)["e_orth"]
+        e_c1 = metrics(a, (q1, r1), compute_kappa=False, compute_ranks=False)["e_orth"]
         q2, r2 = cholqr2(a, tc)
-        e_c2 = metrics_explicit(a, q2, r2)["e_orth"]
+        e_c2 = metrics(a, (q2, r2), compute_kappa=False, compute_ranks=False)["e_orth"]
         rows.append((kappa, e_hqr, e_c1, e_c2))
     monotone = all(rows[i][2] <= rows[i + 1][2] for i in range(len(rows) - 1))
     separated = rows[-1][2] >= 1e2 * rows[-1][1]

@@ -10,6 +10,7 @@ from hodlrqr.bench import (
     BenchConfig,
     CSV_HEADER,
     check_matrix_kind,
+    check_methods,
     gen_cauchy,
     gen_cauchy_config,
     gen_matrix,
@@ -266,4 +267,17 @@ def test_cli_rejects_bad_matrix_kind(tmp_path, capsys):
         with pytest.raises(SystemExit):
             main([command, "--matrix", "cauchy:a9", "--out", str(tmp_path / "x")])
         assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+    # methods have one check as well
+    with pytest.raises(ValueError) as err:
+        check_methods(("hqr", "foo"))
+    message = str(err.value)
+    assert "'foo'" in message and "'cholqr2'" in message
+    with pytest.raises(ValueError) as other:
+        BenchConfig(methods=("foo",))
+    assert str(other.value) == message
+    with pytest.raises(SystemExit):
+        main(["bench", "--methods", "hqr,foo", "--out", str(tmp_path / "x")])
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()

@@ -15,7 +15,6 @@ from hodlrqr import (
     hodlr_identity,
     left_orthogonalize,
     read_hodlr,
-    recompress_hodlr,
     stats,
     sum_lowrank,
     to_dense,
@@ -213,25 +212,6 @@ def test_left_orthogonalize_skips_flagged(rng):
     q = np.linalg.qr(rng.standard_normal((20, 3)))[0]
     b = LowRankBlock(q, rng.standard_normal((3, 10)), left_orthogonal=True)
     assert left_orthogonalize(b) is b
-
-
-def test_recompress_restores_doubled_factors(rng):
-    h, dense, tree = random_hodlr_pair(64, 8, rank=2, seed=9)
-
-    def doubled(node):
-        if node.is_leaf:
-            return node
-        def dbl(b):
-            return LowRankBlock(np.hstack([b.L, b.L]),
-                                np.vstack([b.R, np.zeros_like(b.R)]))
-        return HodlrMatrix(a11=doubled(node.a11), a22=doubled(node.a22),
-                           a12=dbl(node.a12), a21=dbl(node.a21))
-
-    fat = doubled(h)
-    assert stats(fat)["max_offdiag_rank"] == 4
-    slim = recompress_hodlr(fat, TruncationControl(1e-12))
-    assert stats(slim)["max_offdiag_rank"] == 2
-    assert np.max(np.abs(to_dense(slim) - dense)) <= 1e-11
 
 
 def test_recompress_error_bound(rng):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,21 @@ def test_hqr_rejects_nan_in_low_rank_factor():
     h.a11.a21.R[0, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         hqr(h, 1e-12)
+
+
+class _NoScipy:
+    def __getattr__(self, name):
+        raise AssertionError(f"hqr reached scipy.{name}")
+
+
+def test_hqr_stays_off_scipy(monkeypatch):
+    # scipy bundles a BLAS of its own; a call into it from hqr would run a
+    # second thread pool beside numpy's
+    for name in ("arith", "core", "dense", "hqr", "wy"):
+        module = importlib.import_module(f"hodlrqr.{name}")
+        monkeypatch.setattr(module, "scipy", _NoScipy(), raising=False)
+    h, dense, tree = random_hodlr_pair(128, 32, rank=2, seed=12)
+    assert tree.level == 2
+    f = hqr(h, 1e-12)
+    q = dense_q(f)
+    assert np.linalg.norm(q @ to_dense(f.r) - dense, 2) <= 1e-10 * np.linalg.norm(dense, 2)

@@ -72,7 +72,8 @@ def test_explicit_factors_report_q_and_r_statistics():
     m = metrics(a, (q, r), compute_kappa=False)
     assert {"rank_q", "rank_r", "mem_q_rel", "mem_r_rel"} <= m.keys()
     assert "rank_y" not in m and "mem_yt_rel" not in m
-    assert m == {**bench.metrics_explicit(a, q, r), **m}
+    errors = bench.metrics(a, (q, r), compute_kappa=False, compute_ranks=False)
+    assert m == {**m, **errors}
 
 
 def test_run_bench_computes_matrix_properties_once(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodlrqr import block_qr, wy_apply_q, wy_apply_qt
+from hodlrqr import block_qr
 
 U = np.finfo(float).eps
 
@@ -18,9 +18,22 @@ def test_single_column():
     assert wy.T[0, 0] == pytest.approx(1.6)
 
 
+@pytest.mark.parametrize("column, rho, tau", [
+    ([-3.0, 4.0], 5.0, 1.6),  # -sign(-3) * 5
+    ([7.0], 7.0, 0.0),  # nothing to annihilate: identity reflector
+    ([-7.0], -7.0, 0.0),
+])
+def test_diagonal_sign_of_r(column, rho, tau):
+    a = np.array(column)[:, None]
+    wy, r = block_qr(a)
+    assert r[0, 0] == pytest.approx(rho)
+    assert wy.T[0, 0] == pytest.approx(tau)
+    assert np.allclose(explicit_q(wy)[:, :1] @ r, a, atol=1e-14)
+
+
 def test_identity_input():
     n = 16
-    wy, r = block_qr(np.eye(n), n_b=4)
+    wy, r = block_qr(np.eye(n))
     assert np.allclose(np.abs(r), np.eye(n))
     q = explicit_q(wy)
     assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= n * U
@@ -28,7 +41,7 @@ def test_identity_input():
 
 def test_random_tall(rng):
     a = rng.standard_normal((64, 48))
-    wy, r = block_qr(a, n_b=8)
+    wy, r = block_qr(a)
     q = explicit_q(wy)
     resid = np.linalg.norm(q[:, :48] @ r - a, 2) / np.linalg.norm(a, 2)
     assert resid <= 1e-14
@@ -40,26 +53,42 @@ def test_random_tall(rng):
 
 def test_y_unit_lower_triangular(rng):
     a = rng.standard_normal((40, 24))
-    wy, _ = block_qr(a, n_b=5)
+    wy, _ = block_qr(a)
     top = wy.Y[:24, :24]
     assert np.array_equal(np.triu(top, 1), np.zeros((24, 24)))
     assert np.allclose(np.diag(top), 1.0)
 
 
 def test_t_upper_triangular_with_nonzero_diagonal(rng):
-    a = rng.standard_normal((30, 30))
-    wy, _ = block_qr(a, n_b=4)
+    # a tall panel, as at every hqr leaf with coupling rows below it
+    a = rng.standard_normal((40, 30))
+    wy, _ = block_qr(a)
     assert np.array_equal(wy.T, np.triu(wy.T))
     assert np.all(np.abs(np.diag(wy.T)) > 0)
 
 
+def test_square_panel_last_reflector_is_identity(rng):
+    # the last column of a square panel has no entries below the diagonal
+    a = rng.standard_normal((30, 30))
+    wy, r = block_qr(a)
+    tau = np.diag(wy.T)
+    assert np.array_equal(wy.T, np.triu(wy.T))
+    assert tau[-1] == 0.0 and np.all(np.abs(tau[:-1]) > 0)
+    assert np.linalg.norm(explicit_q(wy) @ r - a, 2) <= 1e-13 * np.linalg.norm(a, 2)
+
+
 @pytest.mark.parametrize("split", [(16, 7), (33, 20), (128, 128)])
 def test_combine_matches_reflector_product(rng, split):
-    # assembled (Y, T) reproduces the product of the two block factors
+    # the assembled (Y, T) reproduces the product of the single reflectors
     m, n = split
     a = rng.standard_normal((m, n))
-    wy, r = block_qr(a, n_b=3)
+    wy, r = block_qr(a)
     q = explicit_q(wy)
+    product = np.eye(m)
+    for j in range(n):
+        y = wy.Y[:, j]
+        product = product - wy.T[j, j] * np.outer(product @ y, y)
+    assert np.linalg.norm(q - product, 2) <= 1e-13
     assert np.linalg.norm(q @ np.vstack([r, np.zeros((m - n, n))]) - a, 2) <= \
         1e-13 * max(1.0, np.linalg.norm(a, 2))
     assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= 1e-13
@@ -68,45 +97,54 @@ def test_combine_matches_reflector_product(rng, split):
 def test_apply_qt_reduces_input(rng):
     a = rng.standard_normal((20, 12))
     wy, r = block_qr(a)
-    reduced = wy_apply_qt(wy, a)
+    reduced = explicit_q(wy).T @ a
     assert np.allclose(reduced[:12], r, atol=1e-13 * np.linalg.norm(a, 2))
     assert np.max(np.abs(reduced[12:])) <= 1e-13 * np.linalg.norm(a, 2)
-
-
-def test_apply_qt_zero_y():
-    from hodlrqr import DenseWY
-    wy = DenseWY(Y=np.zeros((6, 3)), T=np.zeros((3, 3)))
-    m = np.arange(12.0).reshape(6, 2)
-    assert np.array_equal(wy_apply_qt(wy, m), m)
-
-
-def test_apply_qt_matches_explicit_q(rng):
-    a = rng.standard_normal((96, 60))
-    wy, _ = block_qr(a, n_b=16)
-    q = explicit_q(wy)
-    m = rng.standard_normal((96, 5))
-    assert np.allclose(wy_apply_qt(wy, m), q.T @ m, atol=1e-13 * np.linalg.norm(m))
 
 
 def test_q_qt_round_trip(rng):
     a = rng.standard_normal((50, 30))
     wy, _ = block_qr(a)
+    q = explicit_q(wy)
     m = rng.standard_normal((50, 4))
-    back = wy_apply_q(wy, wy_apply_qt(wy, m))
+    back = q @ (q.T @ m)
     assert np.linalg.norm(back - m) <= 1e-13 * np.linalg.norm(m)
 
 
-def test_zero_column_does_not_crash(rng):
+@pytest.mark.parametrize("col", [0, 2, 4])
+def test_zero_column_does_not_crash(rng, col):
     a = rng.standard_normal((12, 5))
-    a[:, 2] = 0.0
-    wy, r = block_qr(a, n_b=2)
+    a[:, col] = 0.0
+    wy, r = block_qr(a)
     q = explicit_q(wy)
     assert np.linalg.norm(q @ np.vstack([r, np.zeros((7, 5))]) - a, 2) <= 1e-13
-    assert r[2, 2] == 0.0
+    assert r[col, col] == 0.0
+    assert wy.T[col, col] == 0.0  # identity reflector
+    assert np.linalg.norm(q.T @ q - np.eye(12), 2) <= 12 * 8 * U
+
+
+def test_zero_matrix():
+    wy, r = block_qr(np.zeros((6, 4)))
+    assert np.array_equal(r, np.zeros((4, 4)))
+    assert np.array_equal(wy.T, np.zeros((4, 4)))
+    assert np.array_equal(explicit_q(wy), np.eye(6))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_extreme_scaling(rng, scale):
+    a = rng.standard_normal((40, 30))
+    wy, r = block_qr(scale * a)
+    q = explicit_q(wy)
+    assert np.linalg.norm(q.T @ q - np.eye(40), 2) <= 40 * 8 * U
+    assert np.all(np.isfinite(r))
+    resid = np.linalg.norm(q[:, :30] @ (r / scale) - a, 2)
+    assert resid <= 1e-14 * np.linalg.norm(a, 2)
 
 
 def test_dimension_errors():
     with pytest.raises(ValueError):
         block_qr(np.ones((3, 5)))
     with pytest.raises(ValueError):
-        block_qr(np.ones((4, 2)), n_b=0)
+        block_qr(np.ones((4, 0)))
+    with pytest.raises(ValueError):
+        block_qr(np.ones(4))
