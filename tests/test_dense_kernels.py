@@ -3,10 +3,90 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodlrqr import (
+    block_qr,
     spectral_norm_estimate,
     svd,
     truncation_rank,
 )
+
+EYE_TOL = 16 * np.finfo(float).eps
+
+
+def reflector(v):
+    """Householder reflector of the one-column leaf QR as (y, gamma, rho):
+    (I - gamma y y^T) v = rho e_1 with y[0] = 1."""
+    wy, r = block_qr(np.asarray(v, dtype=float)[:, None])
+    return wy.Y[:, 0], wy.T[0, 0], r[0, 0]
+
+
+def reflect(y, gamma, v):
+    return v - gamma * y * (y @ v)
+
+
+def test_reflector_34_example():
+    y, gamma, rho = reflector([3.0, 4.0])
+    assert np.allclose(y, [1.0, 0.5])
+    assert gamma == pytest.approx(1.6)
+    assert rho == pytest.approx(-5.0)
+    # apply the reflector explicitly and verify the mapped vector
+    mapped = reflect(y, gamma, np.array([3.0, 4.0]))
+    assert np.allclose(mapped, [-5.0, 0.0], atol=1e-14)
+
+
+def test_reflector_single_entry():
+    # nothing to annihilate: LAPACK keeps the identity and the entry's sign
+    for entry in (7.0, -7.0):
+        y, gamma, rho = reflector([entry])
+        assert gamma == 0.0
+        assert rho == entry
+        assert reflect(y, gamma, np.array([entry]))[0] == entry
+
+
+def test_reflector_zero_vector_is_identity():
+    y, gamma, rho = reflector(np.zeros(4))
+    assert gamma == 0.0 and rho == 0.0
+    v = np.arange(4.0)
+    assert np.array_equal(reflect(y, gamma, v), v)
+
+
+def test_reflector_negative_leading_entry():
+    y, gamma, rho = reflector([-3.0, 4.0])
+    assert rho == pytest.approx(5.0)  # -sign(-3) * 5
+    assert gamma == pytest.approx(1.6)
+    assert np.allclose(reflect(y, gamma, np.array([-3.0, 4.0])), [5.0, 0.0], atol=1e-14)
+
+
+def test_reflector_rejects_empty():
+    with pytest.raises(ValueError):
+        reflector([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False),
+                min_size=1, max_size=64))
+def test_reflector_orthogonality_property(entries):
+    # relative error bounds only make sense in the normal range; products
+    # of subnormal entries round at one absolute ulp instead
+    v = np.array(entries)
+    y, gamma, rho = reflector(v)
+    p = np.eye(v.size) - gamma * np.outer(y, y)
+    assert np.linalg.norm(p.T @ p - np.eye(v.size), 2) <= EYE_TOL
+    mapped = reflect(y, gamma, v)
+    amax = np.max(np.abs(v))
+    norm = amax * np.linalg.norm(v / amax) if amax > 0 else 0.0
+    assert np.all(np.abs(mapped[1:]) <= 8 * np.finfo(float).eps * norm)
+    assert abs(abs(mapped[0]) - norm) <= 8 * np.finfo(float).eps * norm
+    assert abs(abs(rho) - norm) <= 8 * np.finfo(float).eps * norm
+
+
+def test_reflector_subnormal_entries_stay_orthogonal():
+    # entries at the bottom of the subnormal range: annihilation can be off
+    # by an absolute ulp, but the reflector itself remains orthogonal
+    v = np.array([5e-324, 5e-324])
+    y, gamma, _ = reflector(v)
+    p = np.eye(2) - gamma * np.outer(y, y)
+    assert np.linalg.norm(p.T @ p - np.eye(2), 2) <= EYE_TOL
+    assert abs(reflect(y, gamma, v)[1]) <= 5e-324
 
 
 def test_svd_diagonal():

@@ -214,6 +214,33 @@ def test_left_orthogonalize_skips_flagged(rng):
     assert left_orthogonalize(b) is b
 
 
+def test_recompress_restores_doubled_factors(rng):
+    h, dense, tree = random_hodlr_pair(64, 8, rank=2, seed=9)
+
+    def doubled(node):
+        if node.is_leaf:
+            return node
+        def dbl(b):
+            return LowRankBlock(np.hstack([b.L, b.L]),
+                                np.vstack([b.R, np.zeros_like(b.R)]))
+        return HodlrMatrix(a11=doubled(node.a11), a22=doubled(node.a22),
+                           a12=dbl(node.a12), a21=dbl(node.a21))
+
+    def recompressed(node, tc):
+        # the recompression operator on every off-diagonal block
+        if node.is_leaf:
+            return node
+        return HodlrMatrix(a11=recompressed(node.a11, tc), a22=recompressed(node.a22, tc),
+                           a12=truncate_lowrank(node.a12, tc),
+                           a21=truncate_lowrank(node.a21, tc))
+
+    fat = doubled(h)
+    assert stats(fat)["max_offdiag_rank"] == 4
+    slim = recompressed(fat, TruncationControl(1e-12))
+    assert stats(slim)["max_offdiag_rank"] == 2
+    assert np.max(np.abs(to_dense(slim) - dense)) <= 1e-11
+
+
 def test_recompress_error_bound(rng):
     from hodlrqr import add
     h1, d1, tree = random_hodlr_pair(128, 16, rank=3, seed=1)
