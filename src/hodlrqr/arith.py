@@ -6,8 +6,6 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
-    GENERAL,
-    UPPER_TRIANGULAR,
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
@@ -69,34 +67,26 @@ def transpose(h: HodlrMatrix) -> HodlrMatrix:
 
 
 def scale(h: HodlrMatrix, alpha: float) -> HodlrMatrix:
-    tag = h.shape_tag if h.shape_tag == UPPER_TRIANGULAR else GENERAL
     if h.is_leaf:
-        return HodlrMatrix(dense=alpha * h.dense, shape_tag=tag)
+        return HodlrMatrix(dense=alpha * h.dense)
     return HodlrMatrix(
         a11=scale(h.a11, alpha),
         a22=scale(h.a22, alpha),
         a12=h.a12.scaled(alpha),
         a21=h.a21.scaled(alpha),
-        shape_tag=tag,
     )
-
-
-def _merge_tags(t1: str, t2: str) -> str:
-    return UPPER_TRIANGULAR if t1 == t2 == UPPER_TRIANGULAR else GENERAL
 
 
 def add(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     """H1 + H2 with recompression of the concatenated off-diagonal factors."""
     _check_same_tree(h1, h2, "add")
     if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense + h2.dense,
-                           shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag))
+        return HodlrMatrix(dense=h1.dense + h2.dense)
     return HodlrMatrix(
         a11=add(h1.a11, h2.a11, tc),
         a22=add(h1.a22, h2.a22, tc),
         a12=sum_lowrank([h1.a12, h2.a12], tc),
         a21=sum_lowrank([h1.a21, h2.a21], tc),
-        shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag),
     )
 
 
@@ -150,8 +140,7 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
     """
     _check_same_tree(h1, h2, "multiply")
     if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense @ h2.dense,
-                           shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag))
+        return HodlrMatrix(dense=h1.dense @ h2.dense)
     # diagonal blocks: HODLR product plus a low-rank product folded in
     lr11 = _lowrank_product(h1.a12, h2.a21)
     c11 = low_rank_update(multiply(h1.a11, h2.a11, tc), lr11.L, lr11.R.T, tc)
@@ -162,8 +151,7 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
                        _lowrank_times_hodlr(h1.a12, h2.a22)], tc)
     c21 = sum_lowrank([_lowrank_times_hodlr(h1.a21, h2.a11),
                        _hodlr_times_lowrank(h1.a22, h2.a21)], tc)
-    return HodlrMatrix(a11=c11, a22=c22, a12=c12, a21=c21,
-                       shape_tag=_merge_tags(h1.shape_tag, h2.shape_tag))
+    return HodlrMatrix(a11=c11, a22=c22, a12=c12, a21=c21)
 
 
 def _leaf_cholesky(a: np.ndarray, leaf_index: int) -> np.ndarray:
@@ -197,8 +185,7 @@ def cholesky(h: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
 
 def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> HodlrMatrix:
     if h.is_leaf:
-        return HodlrMatrix(dense=_leaf_cholesky(h.dense, leaf_offset),
-                           shape_tag=UPPER_TRIANGULAR)
+        return HodlrMatrix(dense=_leaf_cholesky(h.dense, leaf_offset))
     r11 = _cholesky_rec(h.a11, tc, leaf_offset)
     # W = R11^{-T} @ A12, acting on the k columns of the left factor
     lw = solve_upper_dense(r11, h.a12.L, trans=True)
@@ -210,7 +197,6 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
     return HodlrMatrix(
         a11=r11, a22=r22, a12=w,
         a21=LowRankBlock.zero(h.a22.n, h.a11.n),
-        shape_tag=UPPER_TRIANGULAR,
     )
 
 

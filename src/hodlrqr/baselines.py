@@ -19,13 +19,8 @@ def cholqr(a: HodlrMatrix, tc: TruncationControl) -> tuple[HodlrMatrix, HodlrMat
     return q, r
 
 
-def cholqr2(a: HodlrMatrix, tc: TruncationControl,
-            reorth_steps: int = 1) -> tuple[HodlrMatrix, HodlrMatrix]:
-    """CholQR followed by reorthogonalization passes (default one)."""
-    if reorth_steps < 0:
-        raise ValueError("reorth_steps must be >= 0")
+def cholqr2(a: HodlrMatrix, tc: TruncationControl) -> tuple[HodlrMatrix, HodlrMatrix]:
+    """CholQR followed by one reorthogonalization pass."""
     q, r = cholqr(a, tc)
-    for _ in range(reorth_steps):
-        q, r_i = cholqr(q, tc)
-        r = multiply(r_i, r, tc)
-    return q, r
+    q, r_i = cholqr(q, tc)
+    return q, multiply(r_i, r, tc)

@@ -8,11 +8,8 @@ import numpy as np
 
 from .dense import svd, truncation_rank
 
-GENERAL = "general"
 UPPER_TRIANGULAR = "upper_triangular"
 UNIT_LOWER_TRIANGULAR = "unit_lower_triangular"
-
-_SHAPE_TAGS = (GENERAL, UPPER_TRIANGULAR, UNIT_LOWER_TRIANGULAR)
 
 
 @dataclass(frozen=True)
@@ -25,7 +22,6 @@ class PartitionTree:
 
     level: int
     leaf_sizes: tuple[int, ...]
-    n_min: int = 0
 
     def __post_init__(self):
         if self.level < 0:
@@ -44,8 +40,8 @@ class PartitionTree:
             raise ValueError("cannot split a leaf tree")
         half = len(self.leaf_sizes) // 2
         return (
-            PartitionTree(self.level - 1, self.leaf_sizes[:half], self.n_min),
-            PartitionTree(self.level - 1, self.leaf_sizes[half:], self.n_min),
+            PartitionTree(self.level - 1, self.leaf_sizes[:half]),
+            PartitionTree(self.level - 1, self.leaf_sizes[half:]),
         )
 
 
@@ -58,24 +54,21 @@ def build_partition(n: int, n_min: int) -> PartitionTree:
     leaves = 2 ** level
     base, rem = divmod(n, leaves)
     sizes = tuple(base + 1 if j < rem else base for j in range(leaves))
-    return PartitionTree(level, sizes, n_min)
+    return PartitionTree(level, sizes)
 
 
 @dataclass(frozen=True)
 class TruncationControl:
-    """Absolute singular-value threshold, optionally capped in rank.
+    """Absolute singular-value threshold.
 
     Callers wanting a relative tolerance pass eps * ||A||_2 explicitly.
     """
 
     eps: float
-    rank_cap: int | None = None
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        if self.rank_cap is not None and self.rank_cap < 1:
-            raise ValueError("rank_cap must be >= 1")
 
 
 class LowRankBlock:
@@ -120,20 +113,11 @@ class LowRankBlock:
 
 class HodlrMatrix:
     """Square HODLR matrix: a dense leaf, or two HODLR diagonal children
-    plus two low-rank off-diagonal blocks.
+    plus two low-rank off-diagonal blocks."""
 
-    shape_tag annotates structural triangularity; upper_triangular means
-    every a21 block has rank 0 and leaves are upper triangular,
-    unit_lower_triangular the mirror image with unit diagonals.
-    """
+    __slots__ = ("dense", "a11", "a22", "a12", "a21", "n")
 
-    __slots__ = ("dense", "a11", "a22", "a12", "a21", "shape_tag", "n")
-
-    def __init__(self, dense=None, a11=None, a22=None, a12=None, a21=None,
-                 shape_tag: str = GENERAL):
-        if shape_tag not in _SHAPE_TAGS:
-            raise ValueError(f"unknown shape_tag {shape_tag!r}")
-        self.shape_tag = shape_tag
+    def __init__(self, dense=None, a11=None, a22=None, a12=None, a21=None):
         if dense is not None:
             dense = np.asarray(dense, dtype=float)
             if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -164,8 +148,8 @@ class HodlrMatrix:
             return (self.n,)
         return self.a11.leaf_sizes() + self.a22.leaf_sizes()
 
-    def tree(self, n_min: int = 0) -> PartitionTree:
-        return PartitionTree(self.level, self.leaf_sizes(), n_min)
+    def tree(self) -> PartitionTree:
+        return PartitionTree(self.level, self.leaf_sizes())
 
     def same_structure(self, other: "HodlrMatrix") -> bool:
         if self.is_leaf != other.is_leaf or self.n != other.n:
@@ -208,8 +192,6 @@ def compress_block(block: np.ndarray, tc: TruncationControl) -> LowRankBlock:
         return LowRankBlock.zero(n_rows, n_cols)
     res = svd(block)
     k = truncation_rank(res.sigma, tc.eps)
-    if tc.rank_cap is not None:
-        k = min(k, tc.rank_cap)
     return LowRankBlock(res.U[:, :k].copy(),
                         res.sigma[:k, None] * res.V[:, :k].T,
                         left_orthogonal=True)
@@ -249,8 +231,6 @@ def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
     q2, r2 = np.linalg.qr(b.R.T, mode="reduced")
     core = svd(r1 @ r2.T)
     k = truncation_rank(core.sigma, tc.eps)
-    if tc.rank_cap is not None:
-        k = min(k, tc.rank_cap)
     L = q1 @ core.U[:, :k]
     R = (core.sigma[:k, None] * core.V[:, :k].T) @ q2.T
     return LowRankBlock(L, R, left_orthogonal=True)
@@ -303,24 +283,25 @@ def all_finite(h: HodlrMatrix) -> bool:
 def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:
     """Identity matrix in HODLR form (rank-0 off-diagonal blocks)."""
     if tree.level == 0:
-        return HodlrMatrix(dense=np.eye(tree.n), shape_tag=UPPER_TRIANGULAR)
+        return HodlrMatrix(dense=np.eye(tree.n))
     t1, t2 = tree.split()
     return HodlrMatrix(
         a11=hodlr_identity(t1),
         a22=hodlr_identity(t2),
         a12=LowRankBlock.zero(t1.n, t2.n),
         a21=LowRankBlock.zero(t2.n, t1.n),
-        shape_tag=UPPER_TRIANGULAR,
     )
 
 
-def validate_structure(h: HodlrMatrix, tag: str | None = None) -> None:
-    """Assert the structural invariants implied by the shape tag.
+def validate_structure(h: HodlrMatrix, tag: str) -> None:
+    """Assert the structural invariants of ``tag`` on h and all its nodes.
 
-    Children inherit the triangularity requirement of their parent even if
-    their own tag is more permissive.
+    UPPER_TRIANGULAR requires every a21 block to have rank 0 and every leaf
+    to be upper triangular; UNIT_LOWER_TRIANGULAR is the mirror image with
+    unit leaf diagonals.
     """
-    tag = h.shape_tag if tag is None or tag == GENERAL else tag
+    if tag not in (UPPER_TRIANGULAR, UNIT_LOWER_TRIANGULAR):
+        raise ValueError(f"unknown structure tag {tag!r}")
     if h.is_leaf:
         d = h.dense
         if tag == UPPER_TRIANGULAR and np.any(np.tril(d, -1) != 0):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    UNIT_LOWER_TRIANGULAR,
-    UPPER_TRIANGULAR,
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
@@ -46,9 +44,11 @@ class StructuredColumn:
 
     def __post_init__(self):
         m = self.a_tilde.n
-        self.c = np.asarray(self.c, dtype=float).reshape(-1, m)
+        self.c = np.asarray(self.c, dtype=float)
         if self.b.n_cols != m:
             raise ValueError("column counts of a_tilde and b must agree")
+        if self.c.ndim != 2 or self.c.shape[1] != m:
+            raise ValueError("c must be a 2-D array with as many columns as a_tilde")
 
     @staticmethod
     def whole_matrix(a: HodlrMatrix) -> "StructuredColumn":
@@ -101,7 +101,7 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     Returns (Y, T, R) with Y mirroring the column structure, and T, R
     upper triangular HODLR matrices of the column's level.
     """
-    b = col.b if col.b.left_orthogonal else left_orthogonalize(col.b)
+    b = left_orthogonalize(col.b)
     a_tilde, c = col.a_tilde, col.c
     m = a_tilde.n
     r1 = b.rank
@@ -113,11 +113,11 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
         # compressed column [A; B_R; C] reduced by dense Householder QR
         h_tilde = np.vstack([a_tilde.dense, b.R, c])
         wy, r_dense = block_qr(h_tilde)
-        y_a = HodlrMatrix(dense=wy.Y[:m], shape_tag=UNIT_LOWER_TRIANGULAR)
+        y_a = HodlrMatrix(dense=wy.Y[:m])
         y_b_rows = wy.Y[m:m + r1]
         y_c = wy.Y[m + r1:]
-        t = HodlrMatrix(dense=wy.T, shape_tag=UPPER_TRIANGULAR)
-        r = HodlrMatrix(dense=r_dense, shape_tag=UPPER_TRIANGULAR)
+        t = HodlrMatrix(dense=wy.T)
+        r = HodlrMatrix(dense=r_dense)
         return StructuredY(y_a, LowRankBlock(b.L, y_b_rows, b.left_orthogonal), y_c), t, r
 
     m1 = a_tilde.a11.n
@@ -170,15 +170,10 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
-    t = HodlrMatrix(a11=t1, a22=t2, a12=t12,
-                    a21=LowRankBlock.zero(t2.n, t1.n),
-                    shape_tag=UPPER_TRIANGULAR)
+    t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r1_fac, a22=r2_fac, a12=a12_upd,
-                    a21=LowRankBlock.zero(r2_fac.n, r1_fac.n),
-                    shape_tag=UPPER_TRIANGULAR)
-    y_a = HodlrMatrix(a11=y_a11, a22=y_a22, a21=y_a21,
-                      a12=LowRankBlock.zero(m1, y_a22.n),
-                      shape_tag=UNIT_LOWER_TRIANGULAR)
+                    a21=LowRankBlock.zero(r2_fac.n, r1_fac.n))
+    y_a = HodlrMatrix(a11=y_a11, a22=y_a22, a21=y_a21, a12=LowRankBlock.zero(m1, y_a22.n))
     y_b_rows = np.hstack([y_br1, y_br2])
     y_c = np.hstack([y_c1, y_c2])
     return StructuredY(y_a, LowRankBlock(b.L, y_b_rows, b.left_orthogonal), y_c), t, r

@@ -179,7 +179,7 @@ def test_cholesky_identity():
     tree = build_partition(48, 12)
     r = cholesky(hodlr_identity(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48))
-    validate_structure(r)
+    validate_structure(r, UPPER_TRIANGULAR)
 
 
 def test_cholesky_diagonal_leaf():
@@ -191,8 +191,7 @@ def test_cholesky_spd_oracle():
     h, dense, tree = spd_hodlr_pair(512, 64, seed=22)
     eps = 1e-10 * np.linalg.norm(dense, 2)
     r = cholesky(h, TruncationControl(eps))
-    assert r.shape_tag == UPPER_TRIANGULAR
-    validate_structure(r)
+    validate_structure(r, UPPER_TRIANGULAR)
     r_d = to_dense(r)
     r_ref = np.linalg.cholesky(dense).T
     assert np.linalg.norm(r_d - r_ref, 2) / np.linalg.norm(r_ref, 2) <= 1e-6
@@ -279,7 +278,7 @@ def test_hodlr_spectral_norm(rng):
 def test_outputs_carry_shape_tags():
     h, dense, _ = spd_hodlr_pair(128, 32, seed=30)
     r = cholesky(h, TruncationControl(1e-12 * np.linalg.norm(dense, 2)))
-    assert r.shape_tag == UPPER_TRIANGULAR
+    validate_structure(r, UPPER_TRIANGULAR)
 
     def assert_a21_rank0(node):
         if node.is_leaf:

@@ -71,9 +71,3 @@ def test_cholqr2_near_noop_on_orthogonal_input():
     tree = build_partition(48, 12)
     q, r = cholqr2(hodlr_identity(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48), atol=1e-10)
-
-
-def test_cholqr2_rejects_negative_steps():
-    tree = build_partition(16, 8)
-    with pytest.raises(ValueError):
-        cholqr2(hodlr_identity(tree), TruncationControl(1e-13), reorth_steps=-1)

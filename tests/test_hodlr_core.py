@@ -22,7 +22,7 @@ from hodlrqr import (
     truncation_rank,
     write_hodlr,
 )
-from hodlrqr.core import validate_structure
+from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr_pair
 
@@ -139,12 +139,6 @@ def test_truncate_lowrank_against_dense_svd_oracle(rng):
     out = truncate_lowrank(LowRankBlock(L, R), TruncationControl(eps))
     assert out.rank == 4
     assert np.linalg.norm(out.to_dense() - L @ R, 2) <= eps * (1 + 1e-9)
-
-
-def test_truncate_lowrank_respects_rank_cap(rng):
-    b = LowRankBlock(rng.standard_normal((20, 6)), rng.standard_normal((6, 20)))
-    out = truncate_lowrank(b, TruncationControl(0.0, rank_cap=3))
-    assert out.rank == 3
 
 
 def test_truncate_retained_rank_matches_exact_singular_values(rng):
@@ -289,16 +283,17 @@ def _iter_ranks(h):
 
 def test_validate_structure_tags():
     tree = build_partition(32, 8)
-    validate_structure(hodlr_identity(tree))
+    validate_structure(hodlr_identity(tree), UPPER_TRIANGULAR)
     bad = HodlrMatrix(
         a11=HodlrMatrix(dense=np.eye(4)),
         a22=HodlrMatrix(dense=np.eye(4)),
         a12=LowRankBlock.zero(4, 4),
         a21=LowRankBlock(np.ones((4, 1)), np.ones((1, 4))),
-        shape_tag="upper_triangular",
     )
     with pytest.raises(AssertionError):
-        validate_structure(bad)
+        validate_structure(bad, UPPER_TRIANGULAR)
+    with pytest.raises(ValueError):
+        validate_structure(bad, "general")
 
 
 def test_write_read_round_trip(tmp_path, rng):

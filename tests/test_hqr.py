@@ -55,12 +55,9 @@ def test_hqr_matches_dense_block_qr(rng):
 def test_hqr_structure_tags(rng):
     h, _, _ = random_hodlr_pair(256, 32, rank=2, seed=32)
     f = hqr(h, 1e-12)
-    assert f.y.shape_tag == UNIT_LOWER_TRIANGULAR
-    assert f.t.shape_tag == UPPER_TRIANGULAR
-    assert f.r.shape_tag == UPPER_TRIANGULAR
-    validate_structure(f.y)
-    validate_structure(f.t)
-    validate_structure(f.r)
+    validate_structure(f.y, UNIT_LOWER_TRIANGULAR)
+    validate_structure(f.t, UPPER_TRIANGULAR)
+    validate_structure(f.r, UPPER_TRIANGULAR)
 
 
 def test_hqr_accuracy_envelope(rng):
@@ -109,6 +106,15 @@ def test_hqr_rec_void_parts_reduces_to_block_qr(rng):
     assert np.allclose(to_dense(r), r_ref)
     assert np.allclose(to_dense(y.y_a), wy.Y)
     assert np.allclose(to_dense(t), wy.T)
+
+
+def test_structured_column_rejects_misshaped_coupling_rows():
+    # a 2 x 8 block must not be reshaped into 4 x 4 coupling rows
+    a = HodlrMatrix(dense=np.eye(4))
+    for c in (np.ones((2, 8)), np.ones(4), np.ones((1, 1, 4))):
+        with pytest.raises(ValueError):
+            StructuredColumn(a, LowRankBlock.zero(0, 4), c)
+    assert StructuredColumn(a, LowRankBlock.zero(0, 4), np.ones((3, 4))).c.shape == (3, 4)
 
 
 def _structured_column(m, p, r2, rank, seed):

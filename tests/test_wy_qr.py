@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hodlrqr import HodlrMatrix, HodlrQRFactors, apply_q_transpose, block_qr
-from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR
 
 U = np.finfo(float).eps
 
@@ -102,9 +101,8 @@ def test_apply_qt_matches_explicit_q(rng):
     # the WY pair of a leaf, applied as hqr applies it
     a = rng.standard_normal((96, 96))
     wy, r = block_qr(a)
-    f = HodlrQRFactors(y=HodlrMatrix(dense=wy.Y, shape_tag=UNIT_LOWER_TRIANGULAR),
-                       t=HodlrMatrix(dense=wy.T, shape_tag=UPPER_TRIANGULAR),
-                       r=HodlrMatrix(dense=r, shape_tag=UPPER_TRIANGULAR))
+    f = HodlrQRFactors(y=HodlrMatrix(dense=wy.Y), t=HodlrMatrix(dense=wy.T),
+                       r=HodlrMatrix(dense=r))
     q = explicit_q(wy)
     m = rng.standard_normal((96, 5))
     assert np.allclose(apply_q_transpose(f, m), q.T @ m, atol=1e-13 * np.linalg.norm(m))
