@@ -133,8 +133,8 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
     """H1 @ H2 by recursive 2x2 block multiplication.
 
     Products with a low-rank operand are realized through matrix-vector
-    multiplications on the factor columns; every pairwise addition inside
-    the recursion is followed by recompression at tc.  Each of the
+    multiplications on the factor columns; every sum of low-rank blocks
+    inside the recursion is recompressed once at tc.  Each of the
     O(level) truncations contributes up to tc.eps, so for a relative
     error contract choose tc.eps proportional to ||H1||_2 ||H2||_2.
     """

@@ -237,19 +237,17 @@ def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
 
 
 def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
-    """Sum of low-rank blocks, added left to right with a recompression at
-    tc after every addition to keep the ranks bounded.
+    """Formatted sum of low-rank blocks: the factors of all terms are joined
+    and recompressed once at tc, so the result is within tc.eps of the
+    exact sum in the 2-norm.
 
-    An addition of two rank-0 operands keeps the left one unchanged.
+    A sum whose terms all have rank 0 returns the first term unchanged.
     """
-    blocks = iter(blocks)
-    total = next(blocks)
-    for b in blocks:
-        if total.rank == 0 and b.rank == 0:
-            continue
-        joined = LowRankBlock(np.hstack([total.L, b.L]), np.vstack([total.R, b.R]))
-        total = truncate_lowrank(joined, tc)
-    return total
+    blocks = list(blocks)
+    if all(b.rank == 0 for b in blocks):
+        return blocks[0]
+    joined = LowRankBlock(np.hstack([b.L for b in blocks]), np.vstack([b.R for b in blocks]))
+    return truncate_lowrank(joined, tc)
 
 
 def stats(h: HodlrMatrix) -> dict:

@@ -133,8 +133,8 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     y_br1 = y1.y_c[:r1]
     y_c1 = y1.y_c[r1:]
 
-    # s_tilde = Y1^T [A12; A22; B_R2; C2], a sum of four low-rank terms,
-    # truncated after every addition to keep ranks bounded
+    # s_tilde = Y1^T [A12; A22; B_R2; C2], a sum of four low-rank terms
+    # joined and truncated once
     a12, a22 = a_tilde.a12, a_tilde.a22
     s_tilde = sum_lowrank([
         LowRankBlock(apply_dense(y_a11, a12.L, trans=True), a12.R),

@@ -3,6 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodlrqr import (
     CorruptionError,
@@ -156,7 +157,7 @@ def test_truncate_retained_rank_matches_exact_singular_values(rng):
 
 
 @pytest.mark.parametrize("count", [3, 4])
-def test_sum_lowrank_matches_pairwise_chain(rng, count):
+def test_sum_lowrank_truncates_joined_terms_once(rng, count):
     # the third term lies in the span of the first, so truncation drops rank
     blocks = [LowRankBlock(rng.standard_normal((30, k)), rng.standard_normal((k, 25)))
               for k in (2, 3)]
@@ -165,14 +166,35 @@ def test_sum_lowrank_matches_pairwise_chain(rng, count):
     blocks.append(LowRankBlock(rng.standard_normal((30, 1)), rng.standard_normal((1, 25))))
     blocks = blocks[:count]
     tc = TruncationControl(1e-10)
-    expect = blocks[0]
-    for b in blocks[1:]:
-        joined = LowRankBlock(np.hstack([expect.L, b.L]), np.vstack([expect.R, b.R]))
-        expect = truncate_lowrank(joined, tc)
+    joined = LowRankBlock(np.hstack([b.L for b in blocks]), np.vstack([b.R for b in blocks]))
+    expect = truncate_lowrank(joined, tc)
     out = sum_lowrank(blocks, tc)
     assert np.array_equal(out.L, expect.L) and np.array_equal(out.R, expect.R)
     assert out.left_orthogonal
     assert out.rank == sum(b.rank for b in blocks) - 1
+    exact = sum(b.to_dense() for b in blocks)
+    assert np.linalg.norm(out.to_dense() - exact, 2) <= tc.eps * (1 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       st.integers(1, 12), st.integers(1, 12),
+       st.one_of(st.just(0.0), st.floats(1e-14, 10.0)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_sum_lowrank_error_within_eps(ranks, n_rows, n_cols, eps, zero_term, seed):
+    rng = np.random.default_rng(seed)
+    blocks = [LowRankBlock(rng.standard_normal((n_rows, k)), rng.standard_normal((k, n_cols)))
+              for k in ranks]
+    if zero_term:  # a term with columns but no content
+        blocks[0] = LowRankBlock(np.zeros((n_rows, ranks[0])), blocks[0].R)
+    out = sum_lowrank(blocks, TruncationControl(eps))
+    assert (out.n_rows, out.n_cols) == (n_rows, n_cols)
+    assert out.rank <= sum(ranks)
+    exact = sum(b.to_dense() for b in blocks)
+    # the roundoff of joining and recompressing, which eps = 0 leaves alone
+    roundoff = 100 * np.finfo(float).eps * sum(
+        np.linalg.norm(b.L) * np.linalg.norm(b.R) for b in blocks)
+    assert np.linalg.norm(out.to_dense() - exact, 2) <= eps * (1 + 1e-9) + roundoff
 
 
 def test_sum_lowrank_rank_zero_operands_keep_first_block(rng):
