@@ -44,6 +44,14 @@ CAUCHY_CONFIGS = {
 DENSE_LIMIT = 4096
 
 
+def check_dense_size(n: int) -> None:
+    """Raise ValueError if dense-mode metrics would densify past DENSE_LIMIT."""
+    if n > DENSE_LIMIT:
+        raise ValueError(
+            f"n = {n} exceeds the densification limit {DENSE_LIMIT}; "
+            "pass --estimate to use power-iteration metrics")
+
+
 @dataclass
 class BenchRecord:
     method: str
@@ -111,10 +119,6 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
     return build(tree)
 
 
-def _dense_norm_estimate(a: np.ndarray) -> float:
-    return spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, a.shape[1])
-
-
 def gen_random_rect_dense(m: int, n: int, n_min: int = 250, offdiag_rank: int = 1,
                           seed: int = 0):
     """Random rectangular block matrix with the same recipe as
@@ -174,7 +178,8 @@ def gen_cauchy(n: int, ix_lo: float, ix_hi: float, iy_lo: float, iy_hi: float,
     if np.min(np.abs(diff)) < 1e-12:
         raise ZeroDivisionError("a pair of points nearly coincides; pick other intervals")
     a = 1.0 / diff
-    thresh = eps if absolute_eps else eps * _dense_norm_estimate(a)
+    thresh = eps if absolute_eps else eps * spectral_norm_estimate(
+        lambda v: a @ v, lambda v: a.T @ v, n)
     return from_dense(a, build_partition(n, n_min), TruncationControl(thresh))
 
 
@@ -252,9 +257,10 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
     (allowed up to DENSE_LIMIT) and takes exact norms from symmetric
     eigenvalue problems: the extreme eigenvalues of Q^T Q - I, the largest
     of E^T E for E = Q R - A.  Estimate mode never forms a matrix: each
-    error operator gets a block power-iteration estimate (a lower bound)
-    and its Gaussian a-posteriori bound, reported as e_orth_bound and
-    e_acc_bound (nan in dense mode).
+    error operator gets a block power-iteration estimate (a lower bound,
+    stopped at the first round that does not raise it by a relative 1e-6)
+    and its Gaussian a-posteriori bound from round 1, reported as
+    e_orth_bound and e_acc_bound (nan in dense mode).
     """
     n = a.shape[0]
     orth = q.H @ q - _linear_operator(n, lambda v: v, lambda v: v)
@@ -267,10 +273,7 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
                 op.matmat, op.rmatmat, n,
                 start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
         return out
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"n = {n} exceeds the densification limit {DENSE_LIMIT}; "
-            "pass --estimate to use power-iteration metrics")
+    check_dense_size(n)
     eye = np.eye(n)
     q_d = q.matmat(eye)
     out["e_orth"] = _symmetric_norm(q_d.T @ q_d - eye)

@@ -6,6 +6,7 @@ import sys
 
 from .bench import (
     BenchConfig,
+    check_dense_size,
     check_matrix_kind,
     check_methods,
     gen_matrix,
@@ -103,6 +104,12 @@ def _cmd_gen(args) -> int:
 
 def _cmd_qr(args) -> int:
     a = read_hodlr(args.input)
+    if not args.estimate:
+        try:
+            check_dense_size(a.n)
+        except ValueError as err:  # before hqr runs and any factor file is written
+            print(f"hodlrqr qr: {err}", file=sys.stderr)
+            return 2
     f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")

@@ -53,11 +53,14 @@ def spectral_norm_estimate(apply, apply_transpose, n: int,
 
     ``apply`` and ``apply_transpose`` map an n x b block to its image under
     A and A^T.  Block power iteration on A^T A: each round applies A to an
-    orthonormal n x b block, A^T to the image, and takes the top Ritz
-    value.  Stops once the Ritz residual certifies the dominant eigenvalue
-    of A^T A to a relative 2*tol, giving a relative error around tol in the
-    norm itself, or after ``max_iter`` rounds.  The estimate is ||A v|| for
-    a unit v in the block's span, so it never exceeds the norm.
+    orthonormal n x b block and takes the largest ||A v|| over unit v in
+    its span (the root of the top Ritz value).  The run stops at the first
+    round that does not raise this value above (1 + tol) times the best so
+    far, or after ``max_iter`` rounds, and returns the best, a lower bound
+    on the norm.  In exact arithmetic the value never decreases, so a round
+    that does not raise it means convergence to tol per round, or an
+    operator at roundoff level, whose further rounds only resample the
+    rounding.  ``max_iter`` < 1 or ``tol`` < 0 raise ValueError.
 
     ``start`` is the n x b start block.  The default holds two
     deterministic vectors: the normalized all-ones vector and a fixed
@@ -67,31 +70,30 @@ def spectral_norm_estimate(apply, apply_transpose, n: int,
     scaling a truncation threshold.
 
     With ``with_bound`` the result is the pair (estimate, bound), where
-    bound = 10 sqrt(2/pi) max_i ||A w_i|| over the start columns w_i.  For
-    a standard Gaussian start block of b columns ||A|| <= bound holds with
-    probability at least 1 - 10^-b (Halko, Martinsson and Tropp 2011,
-    section 4.3).
+    bound = 10 sqrt(2/pi) max_i ||A w_i|| over the start columns w_i, taken
+    from the first round alone.  For a standard Gaussian start block of b
+    columns ||A|| <= bound holds with probability at least 1 - 10^-b
+    (Halko, Martinsson and Tropp 2011, section 4.3).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     if n <= 0:
         return (0.0, 0.0) if with_bound else 0.0
     if start is None:
         rng = np.random.default_rng(0x5EED)
         start = np.column_stack([np.full(n, 1.0 / np.sqrt(n)), rng.standard_normal(n)])
     x, coeffs = np.linalg.qr(np.asarray(start, dtype=float))
-    est = bound = 0.0
+    best = bound = 0.0
     for it in range(max_iter):
+        if it > 0:
+            x, _ = np.linalg.qr(np.asarray(apply_transpose(y), dtype=float))
         y = np.asarray(apply(x), dtype=float)
         if it == 0:  # y @ coeffs = A @ start
             bound = _GAUSSIAN_BOUND_FACTOR * float(np.max(np.linalg.norm(y @ coeffs, axis=0)))
-        lam, vecs = np.linalg.eigh(y.T @ y)
-        theta = float(lam[-1])
-        est = float(np.sqrt(max(theta, 0.0)))
-        if est == 0.0:
+        est = float(np.sqrt(max(np.linalg.eigvalsh(y.T @ y)[-1], 0.0)))
+        if est <= best * (1.0 + tol):
             break
-        w = np.asarray(apply_transpose(y), dtype=float)
-        g = vecs[:, -1]
-        residual = np.linalg.norm(w @ g - theta * (x @ g))
-        if residual <= 2.0 * tol * theta:
-            break
-        x, _ = np.linalg.qr(w)
-    return (est, bound) if with_bound else est
+        best = est
+    return (best, bound) if with_bound else best

@@ -81,9 +81,10 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     """QR decomposition of a square HODLR matrix.
 
     By default ``eps`` is the relative truncation tolerance: intermediate
-    sums are truncated at eps * ||A||_2 (the norm is estimated once by
-    power iteration and threaded through the recursion), while the
-    coupling blocks of T are truncated at the plain eps.  With
+    sums are truncated at eps * ||A||_2, the coupling blocks of T at the
+    plain eps.  ||A||_2 is one power-iteration estimate, stopped at the
+    first round that does not raise it; as a lower bound its error only
+    makes the truncation more conservative.  With
     ``absolute`` the threshold eps is used as-is everywhere.  Input with an
     inf or nan entry raises ValueError.
     """

@@ -21,7 +21,9 @@ from hodlrqr import (
     to_dense,
     transpose,
 )
+from hodlrqr import arith
 from hodlrqr.arith import solve_upper_dense
+from hodlrqr.bench import gen_matrix, gen_random_hodlr
 from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr_pair, spd_hodlr_pair
@@ -273,6 +275,27 @@ def test_hodlr_spectral_norm(rng):
     est = hodlr_spectral_norm(h)
     exact = np.linalg.norm(dense, 2)
     assert abs(est - exact) / exact <= 1e-2
+
+
+@pytest.mark.parametrize("matrix,rank", [("cauchy:a3", 1), ("random", 16)])
+def test_hodlr_spectral_norm_stops_before_cap(monkeypatch, matrix, rank):
+    # clustered top singular values converge slowly, but the estimate ends
+    # at the first round that does not raise it, well before the cap
+    applies = []
+    estimate = arith.spectral_norm_estimate
+
+    def counting(apply, apply_transpose, n, **kwargs):
+        def counted(x):
+            applies.append(x.shape[1])
+            return apply(x)
+        return estimate(counted, apply_transpose, n, **kwargs)
+
+    monkeypatch.setattr(arith, "spectral_norm_estimate", counting)
+    a = gen_matrix(matrix, 2000, 250, seed=0, offdiag_rank=rank)
+    est = hodlr_spectral_norm(a)
+    exact = np.linalg.norm(to_dense(a), 2)
+    assert len(applies) < 50
+    assert 0.95 * exact <= est <= exact * (1 + 1e-12)
 
 
 def test_outputs_carry_shape_tags():

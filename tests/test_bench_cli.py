@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hodlrqr import bench, hqr, read_hodlr, stats, to_dense
+from hodlrqr import bench, cli, hqr, read_hodlr, stats, to_dense
 from hodlrqr.bench import (
     BenchConfig,
     CSV_HEADER,
@@ -224,6 +224,22 @@ def test_cli_qr_estimate_prints_bounds(tmp_path, capsys):
     for key in ("e_orth", "e_acc"):
         assert 0 < float(printed[key]) <= float(printed[f"{key}_bound"])
     assert printed["kappa2"] == "nan"
+
+
+def test_cli_qr_refuses_dense_metrics_past_limit_before_work(tmp_path, capsys,
+                                                              monkeypatch):
+    matrix_path = tmp_path / "a.hdlr1"
+    main(["gen", "--n", "128", "--nmin", "32", "--out", str(matrix_path)])
+    capsys.readouterr()
+    monkeypatch.setattr(bench, "DENSE_LIMIT", 64)
+    ran = []
+    monkeypatch.setattr(cli, "hqr", lambda *args, **kwargs: ran.append(1))
+    rc = main(["qr", str(matrix_path), "--out-prefix", str(tmp_path / "fac")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n = 128 exceeds the densification limit 64" in err and "--estimate" in err
+    assert not ran
+    assert not list(tmp_path.glob("fac*.hdlr1"))
 
 
 def test_cli_bench_writes_csv(tmp_path, capsys):

@@ -191,8 +191,9 @@ def test_block_estimate_diag_repeated_top_value():
 
 
 def test_block_estimate_diag_clustered_spectrum():
-    # 50 values within 1e-3 of the top: the cap stops the rounds, and the
-    # estimate still lands inside the cluster, below the norm
+    # 50 values within 1e-3 of the top: the rounds stop once one raises the
+    # estimate by less than tol, and it still lands inside the cluster,
+    # below the norm
     d = np.concatenate([1.0 - 1e-3 * np.linspace(0, 1, 50), np.linspace(0.0, 0.5, 150)])
     est = _diag_estimate(d, max_iter=30, tol=1e-6)
     assert 1.0 - 1e-3 <= est <= 1.0 + 1e-14
@@ -228,8 +229,9 @@ def test_block_estimate_rank_one_converges_early():
 
 
 def test_block_estimate_roundoff_operator_stops_at_cap():
-    # a symmetric operator at roundoff level with a flat spectrum: the Ritz
-    # residual never certifies convergence, so the round cap ends the run
+    # a fixed symmetric operator at roundoff level with a flat spectrum:
+    # every round still raises the estimate by more than tol, so the round
+    # cap ends the run
     rng = np.random.default_rng(7)
     g = rng.standard_normal((300, 300))
     e = 1e-16 * (g + g.T)
@@ -246,6 +248,55 @@ def test_block_estimate_roundoff_operator_stops_at_cap():
     assert len(rounds) == 30
     assert exact / 2 <= est <= exact * (1 + 1e-12)
     assert bound >= exact
+
+
+def test_block_estimate_noisy_roundoff_operator_stops_early():
+    # every application adds fresh rounding-sized noise, so the Ritz value
+    # only resamples the noise; the first round that does not raise it ends
+    # the run
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((300, 300))
+    e = 1e-16 * (g + g.T)
+    noise = np.random.default_rng(8)
+    rounds = []
+
+    def noisy(x):
+        return e @ x + 1e-16 * noise.standard_normal(x.shape)
+
+    def apply(x):
+        rounds.append(1)
+        return noisy(x)
+
+    est = spectral_norm_estimate(apply, noisy, 300, max_iter=30, tol=1e-6,
+                                 start=rng.standard_normal((300, 8)))
+    exact = np.linalg.norm(e, 2)
+    assert len(rounds) <= 10
+    assert exact / 2 <= est <= 2 * exact
+
+
+def test_block_estimate_returns_best_round():
+    # the operator halves after its first application: round 2 lowers the
+    # Ritz value, so the run ends there with round 1's value
+    scales = []
+
+    def apply(x):
+        scales.append(2.0 if not scales else 1.0)
+        return scales[-1] * x
+
+    est = spectral_norm_estimate(apply, lambda x: x, 50, max_iter=30, tol=1e-6,
+                                 start=np.random.default_rng(9).standard_normal((50, 4)))
+    assert est == pytest.approx(2.0, rel=1e-12)
+    assert len(scales) == 2
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"max_iter": -1}, {"tol": -1e-3}])
+def test_spectral_norm_rejects_bad_arguments(kwargs):
+    # without a round there is no estimate, and (0.0, 0.0) would be a
+    # "bound" below ||I|| = 1
+    for with_bound in (False, True):
+        with pytest.raises(ValueError):
+            spectral_norm_estimate(lambda x: x, lambda x: x, 10, with_bound=with_bound,
+                                   **kwargs)
 
 
 def test_block_estimate_bound_covers_exact_norm():

@@ -19,7 +19,7 @@ from hodlrqr.bench import BenchConfig, gen_cauchy_config, gen_random_hodlr, metr
 # Estimated e_orth and e_acc lie within this factor of the dense values.
 # For a fixed operator the block estimate is a lower bound on its norm; at
 # roundoff level the operator also carries the rounding of its own
-# applications, which lifts hqr's e_acc estimate up to about 1.3x above the
+# applications, which lifts hqr's e_acc estimate up to about 1.4x above the
 # dense value at n = 2000.
 ESTIMATE_FACTOR = 2.0
 
