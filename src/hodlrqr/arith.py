@@ -132,26 +132,33 @@ def _lowrank_product(b1: LowRankBlock, b2: LowRankBlock) -> LowRankBlock:
 def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     """H1 @ H2 by recursive 2x2 block multiplication.
 
-    Products with a low-rank operand are realized through matrix-vector
-    multiplications on the factor columns; every sum of low-rank blocks
-    inside the recursion is recompressed once at tc.  Each of the
-    O(level) truncations contributes up to tc.eps, so for a relative
-    error contract choose tc.eps proportional to ||H1||_2 ||H2||_2.
+    Products with a low-rank operand go through matvecs on the factor
+    columns.  The products A12 B21 and A21 B12 that join the diagonal
+    blocks travel down as one pending term U V^T, which each off-diagonal
+    block adds to its one truncated sum and each leaf densely: one
+    truncation at tc per off-diagonal block, 2 (2^level - 1) in all.  For
+    a relative error contract choose tc.eps ~ ||H1||_2 ||H2||_2.
     """
     _check_same_tree(h1, h2, "multiply")
+    return _multiply_rec(h1, h2, np.zeros((h1.n, 0)), np.zeros((h1.n, 0)), tc)
+
+
+def _multiply_rec(h1, h2, u, v, tc) -> HodlrMatrix:
+    # H1 @ H2 + u @ v.T
     if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense @ h2.dense)
-    # diagonal blocks: HODLR product plus a low-rank product folded in
+        return HodlrMatrix(dense=h1.dense @ h2.dense + u @ v.T)
+    m1 = h1.a11.n
+    u1, u2, v1, v2 = u[:m1], u[m1:], v[:m1], v[m1:]
     lr11 = _lowrank_product(h1.a12, h2.a21)
-    c11 = low_rank_update(multiply(h1.a11, h2.a11, tc), lr11.L, lr11.R.T, tc)
     lr22 = _lowrank_product(h1.a21, h2.a12)
-    c22 = low_rank_update(multiply(h1.a22, h2.a22, tc), lr22.L, lr22.R.T, tc)
-    # off-diagonal blocks: sum of two low-rank matrices
-    c12 = sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
-                       _lowrank_times_hodlr(h1.a12, h2.a22)], tc)
-    c21 = sum_lowrank([_lowrank_times_hodlr(h1.a21, h2.a11),
-                       _hodlr_times_lowrank(h1.a22, h2.a21)], tc)
-    return HodlrMatrix(a11=c11, a22=c22, a12=c12, a21=c21)
+    return HodlrMatrix(
+        a11=_multiply_rec(h1.a11, h2.a11, np.hstack([u1, lr11.L]), np.hstack([v1, lr11.R.T]), tc),
+        a22=_multiply_rec(h1.a22, h2.a22, np.hstack([u2, lr22.L]), np.hstack([v2, lr22.R.T]), tc),
+        a12=sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
+                         _lowrank_times_hodlr(h1.a12, h2.a22), LowRankBlock(u1, v2.T)], tc),
+        a21=sum_lowrank([_lowrank_times_hodlr(h1.a21, h2.a11),
+                         _hodlr_times_lowrank(h1.a22, h2.a21), LowRankBlock(u2, v1.T)], tc),
+    )
 
 
 def _leaf_cholesky(a: np.ndarray, leaf_index: int) -> np.ndarray:
@@ -225,22 +232,40 @@ def solve_upper_dense(r: HodlrMatrix, b: np.ndarray, trans: bool = False) -> np.
 def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
                                  tc: TruncationControl) -> HodlrMatrix:
     """X = B @ R^{-1} for upper triangular HODLR R, by recursive forward
-    substitution on the block structure with recompression."""
+    substitution on the block structure with recompression.
+
+    The update -X21 R12 of B22 travels down as a pending term U V^T, added
+    to B12 in its one truncated sum, to B21 by a truncation (none down the
+    left edge, where it is empty) and to the leaves densely: at most
+    2 (2^level - 1) - level truncations.  The right factors of X21 and X12
+    ride down as dense rows, so each leaf of R takes one triangular solve.
+    """
     _check_same_tree(b, r, "solve_upper_triangular_right")
+    empty = np.zeros((b.n, 0))
+    return _solve_right_rec(b, r, empty, empty, np.zeros((0, b.n)), tc)[0]
+
+
+def _solve_right_rec(b, r, u, v, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
+    # (B + u @ v.T) @ R^{-1} and rows @ R^{-1}
     if b.is_leaf:
-        # X R = B  <=>  R^T X^T = B^T
-        return HodlrMatrix(dense=_leaf_solve_upper(r.dense, b.dense.T, trans=True).T)
-    x11 = solve_upper_triangular_right(b.a11, r.a11, tc)
-    x21 = LowRankBlock(b.a21.L, solve_upper_dense(r.a11, b.a21.R.T, trans=True).T)
-    # X12 R22 = B12 - X11 R12
-    x11_r12 = _hodlr_times_lowrank(x11, r.a12)
-    num12 = sum_lowrank([b.a12, x11_r12.scaled(-1.0)], tc)
-    x12 = LowRankBlock(num12.L, solve_upper_dense(r.a22, num12.R.T, trans=True).T)
-    # X22 R22 = B22 - X21 R12
-    cross = _lowrank_product(x21, r.a12)
-    b22 = low_rank_update(b.a22, -cross.L, cross.R.T, tc)
-    x22 = solve_upper_triangular_right(b22, r.a22, tc)
-    return HodlrMatrix(a11=x11, a22=x22, a12=x12, a21=x21)
+        # all rows in one solve: X R = Z  <=>  R^T X^T = Z^T
+        x = _leaf_solve_upper(r.dense, np.vstack([b.dense + u @ v.T, rows]).T, trans=True).T
+        return HodlrMatrix(dense=x[:b.n]), x[b.n:]
+    m1, s, r12 = b.a11.n, rows.shape[0], r.a12
+    u1, u2, v1, v2 = u[:m1], u[m1:], v[:m1], v[m1:]
+    b21 = sum_lowrank([b.a21, LowRankBlock(u2, v1.T)], tc) if u.shape[1] else b.a21
+    # X11 R11 = B11 + U1 V1^T, and X21 R11 = B21 through the rows
+    x11, y1 = _solve_right_rec(b.a11, r.a11, u1, v1, np.vstack([rows[:, :m1], b21.R]), tc)
+    x21 = LowRankBlock(b21.L, y1[s:])
+    # X12 R22 = B12 + U1 V2^T - X11 R12, and X22 R22 = B22 + U2 V2^T - X21 R12
+    num12 = sum_lowrank([b.a12, _hodlr_times_lowrank(x11, r12).scaled(-1.0),
+                         LowRankBlock(u1, v2.T)], tc)
+    cross = _lowrank_product(x21, r12)
+    rows2 = np.vstack([rows[:, m1:] - (y1[:s] @ r12.L) @ r12.R, num12.R])
+    x22, y2 = _solve_right_rec(b.a22, r.a22, np.hstack([u2, -cross.L]),
+                               np.hstack([v2, cross.R.T]), rows2, tc)
+    x = HodlrMatrix(a11=x11, a22=x22, a12=LowRankBlock(num12.L, y2[s:]), a21=x21)
+    return x, np.hstack([y1[:s], y2[:s]])
 
 
 def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -> float:

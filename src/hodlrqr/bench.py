@@ -96,6 +96,8 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
     its own PCG64 stream, spawned from SeedSequence(seed) in the HDLR1
     serialization order (a11 subtree, a21 block, a12 block, a22 subtree).
     """
+    if offdiag_rank < 0:
+        raise ValueError(f"offdiag_rank must be >= 0, got {offdiag_rank}")
     tree = build_partition(n, n_min)
     root = np.random.SeedSequence(seed)
 

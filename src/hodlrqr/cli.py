@@ -17,31 +17,51 @@ from .bench import (
     write_csv,
 )
 from .core import stats
+from .dense import check_tolerance
 from .hqr import hqr
 from .io import read_hodlr, write_hodlr
 
 
-def _checked(check, value):
-    try:
-        return check(value)
-    except ValueError as err:  # argparse prints only this type's message
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _arg_type(check):
+    """argparse type from a check that raises ValueError on a bad value."""
+    def convert(value: str):
+        try:
+            return check(value)
+        except ValueError as err:  # argparse prints only this type's message
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
-def _matrix_kind(value: str) -> str:
-    return _checked(check_matrix_kind, value)
+def _int_at_least(lo: int):
+    def parse(tok: str) -> int:
+        k = int(tok)
+        if k < lo:
+            raise ValueError(f"expected an integer >= {lo}, got {tok}")
+        return k
+    return parse
 
 
-def _int_list(value: str) -> tuple:
-    return tuple(int(tok) for tok in value.split(",") if tok)
+def _tolerance(tok: str) -> float:
+    return check_tolerance(float(tok))
 
 
-def _float_list(value: str) -> tuple:
-    return tuple(float(tok) for tok in value.split(",") if tok)
+def _nonempty_list(parse):
+    def parse_list(value: str) -> tuple:
+        items = tuple(parse(tok) for tok in value.split(",") if tok)
+        if not items:
+            raise ValueError("expected a nonempty comma-separated list")
+        return items
+    return parse_list
 
 
-def _methods_list(value: str) -> tuple:
-    return _checked(check_methods, [tok for tok in value.split(",") if tok])
+_matrix_kind = _arg_type(check_matrix_kind)
+_methods_list = _arg_type(lambda value: check_methods(_nonempty_list(str)(value)))
+_count = _arg_type(_int_at_least(1))
+_natural = _arg_type(_int_at_least(0))
+_eps = _arg_type(_tolerance)
+_count_list = _arg_type(_nonempty_list(_int_at_least(1)))
+_natural_list = _arg_type(_nonempty_list(_int_at_least(0)))
+_eps_list = _arg_type(_nonempty_list(_tolerance))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a matrix and write it as HDLR1")
     g.add_argument("--matrix", type=_matrix_kind, default="random")
-    g.add_argument("--n", type=int, default=1000)
-    g.add_argument("--nmin", type=int, default=250)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--rank", type=int, default=1, help="off-diagonal rank (random)")
-    g.add_argument("--eps", type=float, default=1e-10, help="compression tol (cauchy)")
+    g.add_argument("--n", type=_count, default=1000)
+    g.add_argument("--nmin", type=_count, default=250)
+    g.add_argument("--seed", type=_natural, default=0)
+    g.add_argument("--rank", type=_natural, default=1, help="off-diagonal rank (random)")
+    g.add_argument("--eps", type=_eps, default=1e-10, help="compression tol (cauchy)")
     g.add_argument("--absolute-eps", action="store_true")
     g.add_argument("--out", required=True)
 
     q = sub.add_parser("qr", help="decompose an HDLR1 file, write factor triple")
     q.add_argument("input")
-    q.add_argument("--eps", type=float, default=1e-10)
+    q.add_argument("--eps", type=_eps, default=1e-10)
     q.add_argument("--absolute-eps", action="store_true")
     q.add_argument("--estimate", action="store_true",
                    help="block power-iteration metrics with bounds instead of densifying")
@@ -69,23 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="accuracy/rank/memory benchmark, CSV output")
     b.add_argument("--methods", type=_methods_list, default=("hqr", "cholqr", "cholqr2"))
-    b.add_argument("--sizes", type=_int_list, default=(1000, 2000, 4000))
-    b.add_argument("--seeds", type=_int_list, default=(0,))
-    b.add_argument("--eps", type=float, default=1e-10)
-    b.add_argument("--nmin", type=int, default=250)
-    b.add_argument("--rank", type=int, default=1)
+    b.add_argument("--sizes", type=_count_list, default=(1000, 2000, 4000))
+    b.add_argument("--seeds", type=_natural_list, default=(0,))
+    b.add_argument("--eps", type=_eps, default=1e-10)
+    b.add_argument("--nmin", type=_count, default=250)
+    b.add_argument("--rank", type=_natural, default=1)
     b.add_argument("--matrix", type=_matrix_kind, default="random")
     b.add_argument("--absolute-eps", action="store_true")
     b.add_argument("--estimate", action="store_true")
     b.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
 
     s = sub.add_parser("sweep", help="tolerance sweep for hqr, CSV output")
-    s.add_argument("--eps-list", type=_float_list,
+    s.add_argument("--eps-list", type=_eps_list,
                    default=(1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16))
     s.add_argument("--matrix", type=_matrix_kind, default="cauchy:a3")
-    s.add_argument("--n", type=int, default=2000)
-    s.add_argument("--nmin", type=int, default=250)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--n", type=_count, default=2000)
+    s.add_argument("--nmin", type=_count, default=250)
+    s.add_argument("--seed", type=_natural, default=0)
     s.add_argument("--absolute-eps", action="store_true")
     s.add_argument("--estimate", action="store_true")
     s.add_argument("--out", default=None)

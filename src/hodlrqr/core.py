@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import svd, truncation_rank
+from .dense import check_tolerance, svd, truncation_rank
 
 UPPER_TRIANGULAR = "upper_triangular"
 UNIT_LOWER_TRIANGULAR = "unit_lower_triangular"
@@ -67,8 +67,7 @@ class TruncationControl:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        check_tolerance(self.eps)
 
 
 class LowRankBlock:

@@ -4,6 +4,7 @@ SVD with a reconstruction guarantee, singular-value truncation ranks and
 block power-iteration spectral-norm estimates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +31,20 @@ def svd(m: np.ndarray) -> SvdResult:
     return SvdResult(U=u, sigma=s, V=vt.T)
 
 
+def check_tolerance(eps: float) -> float:
+    """Return eps if it is finite and >= 0; raise ValueError otherwise
+    (a nan threshold would compare false with every singular value)."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    return eps
+
+
 def truncation_rank(sigma, eps: float) -> int:
     """Smallest k such that sigma[k] <= eps (sigma past the end counts as 0).
 
     Ties truncate: a singular value exactly equal to eps is dropped.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    check_tolerance(eps)
     sigma = np.asarray(sigma, dtype=float)
     return int(np.sum(sigma > eps))
 

@@ -29,6 +29,7 @@ from .arith import (
     scale,
     transpose,
 )
+from .dense import check_tolerance
 from .wy import block_qr
 
 
@@ -86,8 +87,10 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     first round that does not raise it; as a lower bound its error only
     makes the truncation more conservative.  With
     ``absolute`` the threshold eps is used as-is everywhere.  Input with an
-    inf or nan entry raises ValueError.
+    inf or nan entry, or an eps that is not finite and >= 0, raises
+    ValueError.
     """
+    check_tolerance(eps)
     if not all_finite(a):
         raise ValueError("hqr input has non-finite entries (inf or nan)")
     eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hodlrqr import (
     CholeskyBreakdownError,
@@ -21,12 +22,37 @@ from hodlrqr import (
     to_dense,
     transpose,
 )
-from hodlrqr import arith
+from hodlrqr import arith, core
 from hodlrqr.arith import solve_upper_dense
 from hodlrqr.bench import gen_matrix, gen_random_hodlr
 from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr_pair, spd_hodlr_pair
+
+
+def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False):
+    """HODLR matrix on ``tree`` whose off-diagonal blocks take a rank from
+    ``ranks``; with ``zero_blocks`` about half of them hold zeros in a
+    nonzero rank.  ``upper`` gives an upper triangular matrix (rank-0
+    a21 blocks) whose leaves have a dominant diagonal."""
+    if tree.level == 0:
+        d = rng.standard_normal((tree.n, tree.n))
+        if upper:
+            signs = rng.choice([-1.0, 1.0], tree.n)
+            d = np.triu(d) / tree.n + np.diag(signs * rng.uniform(1.0, 2.0, tree.n))
+        return HodlrMatrix(dense=d)
+    t1, t2 = tree.split()
+
+    def block(n_rows, n_cols):
+        k = int(rng.choice(ranks))
+        scale = float(rng.choice([0.0, 1.0])) if zero_blocks else 1.0
+        return LowRankBlock(scale * rng.standard_normal((n_rows, k)),
+                            rng.standard_normal((k, n_cols)) / np.sqrt(n_cols))
+
+    a11 = random_hodlr(rng, t1, ranks, zero_blocks, upper)
+    a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper)
+    a21 = LowRankBlock.zero(t2.n, t1.n) if upper else block(t2.n, t1.n)
+    return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, t2.n), a21=a21)
 
 
 def matvec(h, v):
@@ -311,3 +337,89 @@ def test_outputs_carry_shape_tags():
         assert_a21_rank0(node.a22)
 
     assert_a21_rank0(r)
+
+
+# uneven trees up to level 4 (n = 203, n_min = 12 gives 16 leaves of 12 and
+# 13), rank-0 and zero-valued off-diagonal blocks, no truncation (eps = 0)
+_TREES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 203),
+              n_min=st.integers(12, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TREES)
+@example(seed=0, n=203, n_min=12)
+def test_multiply_matches_dense_product_at_eps_zero(seed, n, n_min):
+    rng = np.random.default_rng(seed)
+    tree = build_partition(n, n_min)
+    h1, h2 = random_hodlr(rng, tree), random_hodlr(rng, tree)
+    d1, d2 = to_dense(h1), to_dense(h2)
+    out = multiply(h1, h2, TruncationControl(0.0))
+    err = np.linalg.norm(to_dense(out) - d1 @ d2, 2)
+    assert err <= 1e-12 * np.linalg.norm(d1, 2) * np.linalg.norm(d2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TREES)
+@example(seed=0, n=203, n_min=12)
+def test_solve_upper_right_residual_at_eps_zero(seed, n, n_min):
+    rng = np.random.default_rng(seed)
+    tree = build_partition(n, n_min)
+    b, r = random_hodlr(rng, tree), random_hodlr(rng, tree, upper=True)
+    b_d, r_d = to_dense(b), to_dense(r)
+    x = solve_upper_triangular_right(b, r, TruncationControl(0.0))
+    validate_structure(r, UPPER_TRIANGULAR)
+    resid = np.linalg.norm(to_dense(x) @ r_d - b_d, 2)
+    assert resid <= 1e-12 * np.linalg.cond(r_d) * np.linalg.norm(b_d, 2)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_min", [50, 25, 12])
+def test_multiply_truncates_once_per_offdiagonal_block(monkeypatch, n_min):
+    # the low-rank products meant for the diagonal blocks travel down as one
+    # pending term; at level 3 a truncation after every update made 34
+    h1, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=31)
+    h2, _, _ = random_hodlr_pair(200, n_min, rank=2, seed=32)
+    calls = _count_calls(monkeypatch, core, "truncate_lowrank")
+    multiply(transpose(h1), h2, TruncationControl(1e-10))
+    assert len(calls) == 2 * (2 ** tree.level - 1)
+
+
+@pytest.mark.parametrize("n_min", [50, 25, 12])
+def test_solve_upper_right_one_leaf_solve_per_leaf(monkeypatch, n_min):
+    # at level 3 solving the right factors subtree by subtree made 32 leaf
+    # solves and 17 truncations
+    b, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=33)
+    r = random_hodlr(np.random.default_rng(34), tree, ranks=(2,), zero_blocks=False,
+                     upper=True)
+    solves = _count_calls(monkeypatch, arith, "_leaf_solve_upper")
+    truncations = _count_calls(monkeypatch, core, "truncate_lowrank")
+    solve_upper_triangular_right(b, r, TruncationControl(1e-10))
+    assert len(solves) == 2 ** tree.level
+    # one for each B12, one for each B21 off the left edge of the tree
+    assert len(truncations) == 2 * (2 ** tree.level - 1) - tree.level
+
+
+def test_multiply_and_right_solve_skip_low_rank_update(monkeypatch):
+    def no_update(*args, **kwargs):
+        raise AssertionError("low_rank_update called")
+
+    h, dense, tree = random_hodlr_pair(200, 25, rank=2, seed=35)
+    r = random_hodlr(np.random.default_rng(36), tree, ranks=(2,), upper=True)
+    r_d = to_dense(r)
+    monkeypatch.setattr(arith, "low_rank_update", no_update)
+    tc = TruncationControl(0.0)
+    prod = multiply(h, r, tc)
+    assert np.allclose(to_dense(prod), dense @ r_d, atol=1e-10)
+    x = solve_upper_triangular_right(h, r, tc)
+    assert np.allclose(to_dense(x) @ r_d, dense, atol=1e-10)

@@ -297,3 +297,56 @@ def test_cli_rejects_bad_matrix_kind(tmp_path, capsys):
         main(["bench", "--methods", "hqr,foo", "--out", str(tmp_path / "x")])
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bench", "--nmin", "0"], "argument --nmin: expected an integer >= 1, got 0"),
+    (["bench", "--sizes", "600,0"], "argument --sizes: expected an integer >= 1, got 0"),
+    (["bench", "--rank", "-1", "--sizes", "600"],
+     "argument --rank: expected an integer >= 0, got -1"),
+    (["bench", "--eps", "-1"], "argument --eps: eps must be finite and >= 0"),
+    (["bench", "--sizes", "600", "--eps", "nan"], "argument --eps: eps must be finite"),
+    (["bench", "--sizes", "600", "--eps", "inf"], "argument --eps: eps must be finite"),
+    (["gen", "--n", "0"], "argument --n: expected an integer >= 1, got 0"),
+    (["gen", "--nmin", "-3"], "argument --nmin: expected an integer >= 1, got -3"),
+    (["gen", "--rank", "-2"], "argument --rank: expected an integer >= 0, got -2"),
+    (["gen", "--matrix", "cauchy:a1", "--eps", "nan"], "argument --eps: eps must be finite"),
+    (["sweep", "--eps-list", "1e-4,-1"], "argument --eps-list: eps must be finite and >= 0"),
+    (["sweep", "--eps-list", "1e-4,inf"], "argument --eps-list: eps must be finite"),
+    (["sweep", "--n", "0"], "argument --n: expected an integer >= 1, got 0"),
+    (["sweep", "--nmin", "0"], "argument --nmin: expected an integer >= 1, got 0"),
+    (["sweep", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+    (["sweep", "--eps-list", ","], "argument --eps-list: expected a nonempty"),
+    (["bench", "--seeds", "0,-1"], "argument --seeds: expected an integer >= 0, got -1"),
+    (["bench", "--sizes", ","], "argument --sizes: expected a nonempty"),
+    (["bench", "--methods", ","], "argument --methods: expected a nonempty"),
+    (["gen", "--seed", "-5"], "argument --seed: expected an integer >= 0, got -5"),
+])
+def test_cli_rejects_bad_numbers_before_work(argv, message, tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in ("gen_matrix", "run_bench", "tolerance_sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hodlrqr") and message in err
+    assert not ran
+    assert not out.exists()
+
+
+def test_cli_qr_rejects_bad_eps_before_reading(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "read_hodlr", lambda *args, **kwargs: ran.append(1))
+    with pytest.raises(SystemExit) as exc:
+        main(["qr", str(tmp_path / "a.hdlr1"), "--eps", "nan", "--out-prefix",
+              str(tmp_path / "fac")])
+    assert exc.value.code == 2
+    assert "argument --eps: eps must be finite" in capsys.readouterr().err
+    assert not ran
+
+
+def test_gen_random_rejects_negative_rank():
+    with pytest.raises(ValueError, match="offdiag_rank must be >= 0"):
+        gen_random_hodlr(64, 16, offdiag_rank=-1)

@@ -130,6 +130,13 @@ def test_truncation_rank_examples():
     assert truncation_rank([3, 2, 1], 0.0) == 3
 
 
+@pytest.mark.parametrize("eps", [-1e-10, float("nan"), float("inf"), -float("inf")])
+def test_truncation_rank_rejects_bad_eps(eps):
+    # a nan threshold compares false with every singular value and kept none
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        truncation_rank([3.0, 2.0], eps)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=0, max_size=20),
        st.floats(min_value=0, max_value=1e3),

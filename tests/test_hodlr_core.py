@@ -111,6 +111,12 @@ def test_to_dense_rank_zero_offdiagonals():
     assert np.array_equal(to_dense(ident), np.eye(8))
 
 
+@pytest.mark.parametrize("eps", [-1e-10, float("nan"), float("inf")])
+def test_truncation_control_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        TruncationControl(eps)
+
+
 def test_truncate_lowrank_collapses_redundant(rng):
     u = rng.standard_normal((20, 1))
     v = rng.standard_normal((1, 15))

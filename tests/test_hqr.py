@@ -274,6 +274,20 @@ def test_hqr_rejects_nan_in_low_rank_factor():
         hqr(h, 1e-12)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_hqr_rejects_bad_eps_before_work(monkeypatch, eps, absolute):
+    # a nan eps gave factors with e_orth about 3 at n = 600, and inf
+    # truncated every coupling block to rank 0
+    def no_norm(*args, **kwargs):
+        raise AssertionError("hqr estimated ||A|| before checking eps")
+
+    monkeypatch.setattr(importlib.import_module("hodlrqr.hqr"), "hodlr_spectral_norm", no_norm)
+    h, _, _ = random_hodlr_pair(128, 32, seed=44)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        hqr(h, eps, absolute=absolute)
+
+
 class _NoScipy:
     def __getattr__(self, name):
         raise AssertionError(f"hqr reached scipy.{name}")
