@@ -17,13 +17,14 @@ from .dense import spectral_norm_estimate
 
 class CholeskyBreakdownError(np.linalg.LinAlgError):
     """Raised when a dense leaf factorization meets a nonpositive pivot,
-    i.e. the matrix is not numerically positive definite."""
+    i.e. the matrix is not numerically positive definite.  ``pivot`` is the
+    one LAPACK's dpotrf stopped at, or None when that retry succeeded."""
 
-    def __init__(self, leaf_index: int, pivot: float):
+    def __init__(self, leaf_index: int, pivot: float | None):
         self.leaf_index = leaf_index
         self.pivot = pivot
-        super().__init__(
-            f"Cholesky breakdown in leaf {leaf_index}: pivot {pivot:.6e} is not positive")
+        what = "no pivot failed on retry" if pivot is None else f"pivot {pivot:.6e} is not positive"
+        super().__init__(f"Cholesky breakdown in leaf {leaf_index}: {what}")
 
 
 def _check_same_tree(h1: HodlrMatrix, h2: HodlrMatrix, op: str) -> None:
@@ -36,22 +37,32 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarra
     recursive descent without forming the transpose.
 
     Off-diagonal contributions go through the low-rank factors, so the
-    cost is O(k n log n) per column and nothing is truncated.
+    cost is O(k n log n) per column and nothing is truncated.  Every node
+    writes into its row slice of one output array: the leaves through
+    ``np.matmul(..., out=)`` and the off-diagonal products by ``+=``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != h.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {x.shape[0]}")
+    out = np.empty(x.shape)
+    _apply_into(h, x, trans, out)
+    return out
+
+
+def _apply_into(h: HodlrMatrix, x: np.ndarray, trans: bool, out: np.ndarray) -> None:
     if h.is_leaf:
-        return (h.dense.T if trans else h.dense) @ x
+        np.matmul(h.dense.T if trans else h.dense, x, out=out)
+        return
     m1 = h.a11.n
     x1, x2 = x[:m1], x[m1:]
     if trans:  # H.T has A21.T above the diagonal and A12.T below it
         up_l, up_r, low_l, low_r = h.a21.R.T, h.a21.L.T, h.a12.R.T, h.a12.L.T
     else:
         up_l, up_r, low_l, low_r = h.a12.L, h.a12.R, h.a21.L, h.a21.R
-    top = apply_dense(h.a11, x1, trans) + up_l @ (up_r @ x2)
-    bot = low_l @ (low_r @ x1) + apply_dense(h.a22, x2, trans)
-    return np.concatenate([top, bot], axis=0)
+    _apply_into(h.a11, x1, trans, out[:m1])
+    out[:m1] += up_l @ (up_r @ x2)
+    _apply_into(h.a22, x2, trans, out[m1:])
+    out[m1:] += low_l @ (low_r @ x1)
 
 
 def transpose(h: HodlrMatrix) -> HodlrMatrix:
@@ -143,21 +154,32 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
     return _multiply_rec(h1, h2, np.zeros((h1.n, 0)), np.zeros((h1.n, 0)), tc)
 
 
-def _multiply_rec(h1, h2, u, v, tc) -> HodlrMatrix:
-    # H1 @ H2 + u @ v.T
+def gram(a: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
+    """A^T A with the leaves and a12 blocks of ``multiply(transpose(a), a, tc)``;
+    each a21 is a transpose view of its a12, so the blocks below the diagonal
+    cost no products and no truncation: 2^level - 1 truncations in all."""
+    return _multiply_rec(transpose(a), a, np.zeros((a.n, 0)), np.zeros((a.n, 0)), tc, True)
+
+
+def _multiply_rec(h1, h2, u, v, tc, symmetric=False) -> HodlrMatrix:
+    # H1 @ H2 + u @ v.T; with ``symmetric`` each a21 mirrors its a12
     if h1.is_leaf:
         return HodlrMatrix(dense=h1.dense @ h2.dense + u @ v.T)
     m1 = h1.a11.n
     u1, u2, v1, v2 = u[:m1], u[m1:], v[:m1], v[m1:]
     lr11 = _lowrank_product(h1.a12, h2.a21)
     lr22 = _lowrank_product(h1.a21, h2.a12)
+    a12 = sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
+                       _lowrank_times_hodlr(h1.a12, h2.a22), LowRankBlock(u1, v2.T)], tc)
     return HodlrMatrix(
-        a11=_multiply_rec(h1.a11, h2.a11, np.hstack([u1, lr11.L]), np.hstack([v1, lr11.R.T]), tc),
-        a22=_multiply_rec(h1.a22, h2.a22, np.hstack([u2, lr22.L]), np.hstack([v2, lr22.R.T]), tc),
-        a12=sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
-                         _lowrank_times_hodlr(h1.a12, h2.a22), LowRankBlock(u1, v2.T)], tc),
-        a21=sum_lowrank([_lowrank_times_hodlr(h1.a21, h2.a11),
-                         _hodlr_times_lowrank(h1.a22, h2.a21), LowRankBlock(u2, v1.T)], tc),
+        a11=_multiply_rec(h1.a11, h2.a11, np.hstack([u1, lr11.L]), np.hstack([v1, lr11.R.T]),
+                          tc, symmetric),
+        a22=_multiply_rec(h1.a22, h2.a22, np.hstack([u2, lr22.L]), np.hstack([v2, lr22.R.T]),
+                          tc, symmetric),
+        a12=a12,
+        a21=a12.transpose() if symmetric else sum_lowrank(
+            [_lowrank_times_hodlr(h1.a21, h2.a11), _hodlr_times_lowrank(h1.a22, h2.a21),
+             LowRankBlock(u2, v1.T)], tc),
     )
 
 
@@ -165,27 +187,21 @@ def _leaf_cholesky(a: np.ndarray, leaf_index: int) -> np.ndarray:
     try:
         return np.linalg.cholesky(a).T
     except np.linalg.LinAlgError:
-        # locate the offending pivot for the diagnostic
-        c = np.array(a, dtype=float)
-        n = c.shape[0]
-        for j in range(n):
-            pivot = c[j, j]
-            if not pivot > 0:
-                raise CholeskyBreakdownError(leaf_index, float(pivot)) from None
-            r = np.sqrt(pivot)
-            c[j, j + 1:] /= r
-            c[j + 1:, j + 1:] -= np.outer(c[j, j + 1:], c[j, j + 1:])
-        raise CholeskyBreakdownError(leaf_index, float("nan")) from None
+        # dpotrf leaves the failing pivot on the diagonal at index info - 1
+        c, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+        pivot = float(c[info - 1, info - 1]) if info > 0 else None
+        raise CholeskyBreakdownError(leaf_index, pivot) from None
 
 
 def cholesky(h: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
-    """Upper triangular HODLR factor R with H ~= R.T @ R.
+    """Upper triangular HODLR factor R with H ~= R.T @ R for symmetric H.
 
     Recursive block Cholesky: factor the leading block, obtain the
     coupling block by a triangular solve on the low-rank factor columns,
-    update the Schur complement and recurse.  Raises
-    CholeskyBreakdownError when a leaf pivot fails, reporting the leaf
-    index and pivot value.
+    update the Schur complement and recurse.  Only the diagonal leaves and
+    the blocks above the diagonal are read; the a21 blocks of H are
+    ignored.  Raises CholeskyBreakdownError when a leaf pivot fails,
+    reporting the leaf index and pivot value.
     """
     return _cholesky_rec(h, tc, 0)
 
@@ -199,12 +215,25 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
     w = truncate_lowrank(LowRankBlock(lw, h.a12.R), tc)
     # Schur complement A22 - W^T W
     u = w.R.T @ (w.L.T @ w.L)
-    schur = low_rank_update(h.a22, -u, w.R.T, tc)
+    schur = _symmetric_update(h.a22, -u, w.R.T, tc)
     r22 = _cholesky_rec(schur, tc, leaf_offset + len(h.a11.leaf_sizes()))
     return HodlrMatrix(
         a11=r11, a22=r22, a12=w,
         a21=LowRankBlock.zero(h.a22.n, h.a11.n),
     )
+
+
+def _symmetric_update(h, u, v, tc) -> HodlrMatrix:
+    # low_rank_update on the leaves and each a12; each a21 mirrors its a12
+    if u.shape[1] == 0:
+        return h
+    if h.is_leaf:
+        return HodlrMatrix(dense=h.dense + u @ v.T)
+    m1 = h.a11.n
+    a12 = sum_lowrank([h.a12, LowRankBlock(u[:m1], v[m1:].T)], tc)
+    return HodlrMatrix(a11=_symmetric_update(h.a11, u[:m1], v[:m1], tc),
+                       a22=_symmetric_update(h.a22, u[m1:], v[m1:], tc),
+                       a12=a12, a21=a12.transpose())
 
 
 def _leaf_solve_upper(r: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
@@ -217,6 +246,8 @@ def solve_upper_dense(r: HodlrMatrix, b: np.ndarray, trans: bool = False) -> np.
     """Solve R x = b, or R.T x = b with ``trans``, for upper triangular
     HODLR R and dense b, by back (forward) substitution on the blocks."""
     b = np.asarray(b, dtype=float)
+    if b.shape[0] != r.n:
+        raise ValueError(f"dimension mismatch: {r.n} vs {b.shape[0]}")
     if r.is_leaf:
         return _leaf_solve_upper(r.dense, b, trans)
     m1 = r.a11.n

@@ -3,7 +3,7 @@ speed comparison targets.  Orthogonality of the computed Q degrades with
 the squared condition number, and the Cholesky step breaks down when
 A^T A is not numerically positive definite."""
 
-from .arith import cholesky, multiply, solve_upper_triangular_right, transpose
+from .arith import cholesky, gram, multiply, solve_upper_triangular_right
 from .core import HodlrMatrix, TruncationControl
 
 
@@ -13,8 +13,7 @@ def cholqr(a: HodlrMatrix, tc: TruncationControl) -> tuple[HodlrMatrix, HodlrMat
     Returns (q, r) with r upper triangular and q = A r^{-1}.  A
     CholeskyBreakdownError from the factorization is surfaced verbatim.
     """
-    gram = multiply(transpose(a), a, tc)
-    r = cholesky(gram, tc)
+    r = cholesky(gram(a, tc), tc)
     q = solve_upper_triangular_right(a, r, tc)
     return q, r
 

@@ -27,32 +27,7 @@ from hodlrqr.arith import solve_upper_dense
 from hodlrqr.bench import gen_matrix, gen_random_hodlr
 from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
-from conftest import random_hodlr_pair, spd_hodlr_pair
-
-
-def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False):
-    """HODLR matrix on ``tree`` whose off-diagonal blocks take a rank from
-    ``ranks``; with ``zero_blocks`` about half of them hold zeros in a
-    nonzero rank.  ``upper`` gives an upper triangular matrix (rank-0
-    a21 blocks) whose leaves have a dominant diagonal."""
-    if tree.level == 0:
-        d = rng.standard_normal((tree.n, tree.n))
-        if upper:
-            signs = rng.choice([-1.0, 1.0], tree.n)
-            d = np.triu(d) / tree.n + np.diag(signs * rng.uniform(1.0, 2.0, tree.n))
-        return HodlrMatrix(dense=d)
-    t1, t2 = tree.split()
-
-    def block(n_rows, n_cols):
-        k = int(rng.choice(ranks))
-        scale = float(rng.choice([0.0, 1.0])) if zero_blocks else 1.0
-        return LowRankBlock(scale * rng.standard_normal((n_rows, k)),
-                            rng.standard_normal((k, n_cols)) / np.sqrt(n_cols))
-
-    a11 = random_hodlr(rng, t1, ranks, zero_blocks, upper)
-    a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper)
-    a21 = LowRankBlock.zero(t2.n, t1.n) if upper else block(t2.n, t1.n)
-    return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, t2.n), a21=a21)
+from conftest import random_hodlr, random_hodlr_pair, spd_hodlr_pair
 
 
 def matvec(h, v):
@@ -423,3 +398,86 @@ def test_multiply_and_right_solve_skip_low_rank_update(monkeypatch):
     assert np.allclose(to_dense(prod), dense @ r_d, atol=1e-10)
     x = solve_upper_triangular_right(h, r, tc)
     assert np.allclose(to_dense(x) @ r_d, dense, atol=1e-10)
+
+
+def test_cholesky_breakdown_without_failing_pivot_on_retry(monkeypatch):
+    # when the retry through dpotrf succeeds, the error still names the
+    # leaf and prints no pivot (the Python replay used to report "pivot nan")
+    def fails(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    h = hodlr_identity(build_partition(32, 8))
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    with pytest.raises(CholeskyBreakdownError) as exc:
+        cholesky(h, TruncationControl(1e-14))
+    assert exc.value.leaf_index == 0
+    assert exc.value.pivot is None
+    assert "leaf 0" in str(exc.value) and "nan" not in str(exc.value)
+
+
+def test_cholesky_breakdown_reports_the_failing_schur_pivot():
+    # the second pivot of [[1, 2], [2, 1]] is 1 - 2 * 2 = -3
+    m = np.eye(32)
+    m[8:10, 8:10] = [[1.0, 2.0], [2.0, 1.0]]  # leaf 1 holds indices 8..15
+    h = from_dense(m, build_partition(32, 8), TruncationControl(0.0))
+    with pytest.raises(CholeskyBreakdownError) as exc:
+        cholesky(h, TruncationControl(1e-14))
+    assert exc.value.leaf_index == 1
+    assert exc.value.pivot == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("rows", [599, 601])
+def test_solve_upper_dense_rejects_wrong_row_count(trans, rows):
+    # a 601-row b failed inside scipy: "shapes of a (150, 150) and b (151,)"
+    r = hodlr_identity(build_partition(600, 150))
+    with pytest.raises(ValueError, match="dimension mismatch: 600 vs"):
+        solve_upper_dense(r, np.ones(rows), trans=trans)
+
+
+def _nan_lower_blocks(h):
+    # h with every a21 replaced by a rank-2 block of NaNs
+    if h.is_leaf:
+        return h
+    nan = LowRankBlock(np.full((h.a21.n_rows, 2), np.nan), np.full((2, h.a21.n_cols), np.nan))
+    return HodlrMatrix(a11=_nan_lower_blocks(h.a11), a22=_nan_lower_blocks(h.a22),
+                       a12=h.a12, a21=nan)
+
+
+def _assert_same_bits(h1, h2, lower=True):
+    # leaves, a12 and, with ``lower``, a21 blocks bitwise equal
+    if h1.is_leaf:
+        assert np.array_equal(h1.dense, h2.dense)
+        return
+    for b1, b2 in ((h1.a12, h2.a12), (h1.a21, h2.a21))[:2 if lower else 1]:
+        assert np.array_equal(b1.L, b2.L) and np.array_equal(b1.R, b2.R)
+    _assert_same_bits(h1.a11, h2.a11, lower)
+    _assert_same_bits(h1.a22, h2.a22, lower)
+
+
+def test_cholesky_reads_nothing_below_the_diagonal():
+    h, dense, _ = spd_hodlr_pair(128, 16, seed=48)
+    tc = TruncationControl(1e-12 * np.linalg.norm(dense, 2))
+    _assert_same_bits(cholesky(_nan_lower_blocks(h), tc), cholesky(h, tc))
+
+
+@pytest.mark.parametrize("n_min", [50, 25, 12])
+def test_gram_mirrors_the_upper_blocks_of_multiply(monkeypatch, n_min):
+    # one truncation per a12; each a21 is a view of its a12, not a product
+    a, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=49)
+    tc = TruncationControl(1e-10)
+    full = multiply(transpose(a), a, tc)
+    calls = _count_calls(monkeypatch, core, "truncate_lowrank")
+    g = arith.gram(a, tc)
+    assert len(calls) == 2 ** tree.level - 1
+    _assert_same_bits(g, full, lower=False)
+
+    def assert_mirrored(node):
+        if node.is_leaf:
+            return
+        assert np.shares_memory(node.a21.L, node.a12.R)
+        assert np.array_equal(node.a21.to_dense(), node.a12.to_dense().T)
+        assert_mirrored(node.a11)
+        assert_mirrored(node.a22)
+
+    assert_mirrored(g)

@@ -2,6 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hodlrqr import (
     HodlrMatrix,
@@ -18,6 +19,7 @@ from hodlrqr import (
     hqr_rec,
     left_orthogonalize,
     q_to_hodlr,
+    scale,
     stats,
     to_dense,
     transpose,
@@ -25,7 +27,7 @@ from hodlrqr import (
 from hodlrqr.arith import apply_dense
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
 
-from conftest import random_hodlr_pair
+from conftest import random_hodlr, random_hodlr_pair
 
 
 def dense_q(f):
@@ -304,3 +306,66 @@ def test_hqr_stays_off_scipy(monkeypatch):
     f = hqr(h, 1e-12)
     q = dense_q(f)
     assert np.linalg.norm(q @ to_dense(f.r) - dense, 2) <= 1e-10 * np.linalg.norm(dense, 2)
+
+
+def _zero_column(h, j):
+    # h with column j zeroed in its leaf and in the right factor of every
+    # off-diagonal block that holds part of that column
+    if h.is_leaf:
+        d = h.dense.copy()
+        d[:, j] = 0.0
+        return HodlrMatrix(dense=d)
+    m1 = h.a11.n
+    side = h.a21 if j < m1 else h.a12
+    r = side.R.copy()
+    r[:, j if j < m1 else j - m1] = 0.0
+    side = LowRankBlock(side.L, r)
+    if j < m1:
+        return HodlrMatrix(a11=_zero_column(h.a11, j), a22=h.a22, a12=h.a12, a21=side)
+    return HodlrMatrix(a11=h.a11, a22=_zero_column(h.a22, j - m1), a12=side, a21=h.a21)
+
+
+# c = 10 in the roundoff bound c n u: Householder QR keeps ||Q^T Q - I||
+# and ||QR - A|| / ||A|| at O(n u) (Higham, Thm. 19.4), and at eps <= 1e-15
+# the truncations drop nothing above roundoff
+_C = 10.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 203), n_min=st.integers(12, 64),
+       kind=st.sampled_from(["random", "zero_blocks", "zero_matrix", "zero_column"]),
+       alpha=st.sampled_from([1.0, 1e150, 1e-150]), eps=st.sampled_from([0.0, 1e-15]))
+@example(seed=0, n=40, n_min=64, kind="random", alpha=1.0, eps=0.0)  # one leaf
+@example(seed=0, n=203, n_min=12, kind="random", alpha=1.0, eps=0.0)  # leaves of 12 and 13
+@example(seed=1, n=203, n_min=12, kind="random", alpha=1e150, eps=1e-15)
+@example(seed=2, n=203, n_min=12, kind="random", alpha=1e-150, eps=1e-15)
+@example(seed=3, n=150, n_min=16, kind="zero_blocks", alpha=1.0, eps=0.0)
+@example(seed=4, n=150, n_min=16, kind="zero_matrix", alpha=1.0, eps=0.0)
+@example(seed=5, n=150, n_min=16, kind="zero_column", alpha=1.0, eps=0.0)
+def test_hqr_matches_dense_householder_qr(seed, n, n_min, kind, alpha, eps):
+    rng = np.random.default_rng(seed)
+    h = random_hodlr(rng, build_partition(n, n_min),
+                     ranks=(0,) if kind == "zero_blocks" else (0, 1, 2, 3))
+    j = int(rng.integers(n))
+    if kind == "zero_column":
+        h = _zero_column(h, j)
+    h = scale(h, 0.0 if kind == "zero_matrix" else alpha)
+    d = to_dense(h)
+    f = hqr(h, eps)
+    q, r = dense_q(f), to_dense(f.r)
+    bound = _C * n * np.finfo(float).eps
+    norm = np.linalg.norm(d, 2)
+    assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= bound
+    assert np.linalg.norm(q @ r - d, 2) <= bound * norm
+    # both are LAPACK geqrf reflectors; the last row's sign depends on
+    # whether its panel had rows below it
+    r_ref = np.linalg.qr(d, mode="r")
+    r[-1], r_ref[-1] = np.abs(r[-1]), np.abs(r_ref[-1])
+    if kind == "zero_column":
+        # R of a singular matrix is unique only in the rows above the zero
+        # column; below it, only the column norms are
+        assert np.max(np.abs(r[:j] - r_ref[:j]), initial=0.0) <= bound * norm
+        col_norms = np.linalg.norm(r[j:], axis=0), np.linalg.norm(r_ref[j:], axis=0)
+        assert np.max(np.abs(col_norms[0] - col_norms[1])) <= bound * norm
+    else:
+        assert np.max(np.abs(r - r_ref)) <= bound * norm
