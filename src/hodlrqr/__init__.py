@@ -11,7 +11,6 @@ from .arith import (
     apply_dense,
     cholesky,
     hodlr_spectral_norm,
-    low_rank_update,
     multiply,
     scale,
     solve_upper_triangular_right,
@@ -61,8 +60,8 @@ __all__ = [
     "SvdResult", "TruncationControl", "add", "apply_dense", "apply_q",
     "apply_q_transpose", "block_qr", "build_partition", "cholesky", "cholqr",
     "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm", "hqr",
-    "hqr_rec", "left_orthogonalize", "low_rank_update", "multiply",
-    "q_to_hodlr", "read_hodlr", "rect_qr_prototype", "scale",
+    "hqr_rec", "left_orthogonalize", "multiply", "q_to_hodlr", "read_hodlr",
+    "rect_qr_prototype", "scale",
     "solve_upper_triangular_right", "spectral_norm_estimate", "stats",
     "sum_lowrank", "svd", "to_dense", "transpose", "truncate_lowrank",
     "truncation_rank", "write_hodlr",

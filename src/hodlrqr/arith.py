@@ -1,6 +1,6 @@
-"""HODLR arithmetic: matrix-vector products, addition, low-rank updates,
-matrix-matrix multiplication, Cholesky factorization and triangular solves,
-each combined with recompression to limit rank growth."""
+"""HODLR arithmetic: matrix-vector products, addition, matrix-matrix
+multiplication, Cholesky factorization and triangular solves, each
+combined with recompression to limit rank growth."""
 
 import numpy as np
 import scipy.linalg
@@ -39,13 +39,15 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarra
     Off-diagonal contributions go through the low-rank factors, so the
     cost is O(k n log n) per column and nothing is truncated.  Every node
     writes into its row slice of one output array: the leaves through
-    ``np.matmul(..., out=)`` and the off-diagonal products by ``+=``.
+    ``np.matmul(..., out=)`` and the off-diagonal products by ``+=``.  An
+    x without columns returns its empty output at once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != h.n:
         raise ValueError(f"dimension mismatch: {h.n} vs {x.shape[0]}")
     out = np.empty(x.shape)
-    _apply_into(h, x, trans, out)
+    if out.size:
+        _apply_into(h, x, trans, out)
     return out
 
 
@@ -98,28 +100,6 @@ def add(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
         a22=add(h1.a22, h2.a22, tc),
         a12=sum_lowrank([h1.a12, h2.a12], tc),
         a21=sum_lowrank([h1.a21, h2.a21], tc),
-    )
-
-
-def low_rank_update(h: HodlrMatrix, u: np.ndarray, v: np.ndarray,
-                    tc: TruncationControl) -> HodlrMatrix:
-    """H + u @ v.T with the update split across the tree and recompressed."""
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if u.shape[0] != h.n or v.shape[0] != h.n or u.shape[1] != v.shape[1]:
-        raise ValueError("update factors must be n x p")
-    if u.shape[1] == 0:
-        return h
-    if h.is_leaf:
-        return HodlrMatrix(dense=h.dense + u @ v.T)
-    m1 = h.a11.n
-    u1, u2 = u[:m1], u[m1:]
-    v1, v2 = v[:m1], v[m1:]
-    return HodlrMatrix(
-        a11=low_rank_update(h.a11, u1, v1, tc),
-        a22=low_rank_update(h.a22, u2, v2, tc),
-        a12=sum_lowrank([h.a12, LowRankBlock(u1, v2.T)], tc),
-        a21=sum_lowrank([h.a21, LowRankBlock(u2, v1.T)], tc),
     )
 
 
@@ -224,7 +204,8 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
 
 
 def _symmetric_update(h, u, v, tc) -> HodlrMatrix:
-    # low_rank_update on the leaves and each a12; each a21 mirrors its a12
+    # H + u @ v.T: dense on the leaves, one truncated sum per a12; each a21
+    # mirrors its a12
     if u.shape[1] == 0:
         return h
     if h.is_leaf:

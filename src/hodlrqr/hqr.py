@@ -4,7 +4,9 @@ The recursion unit is a structured block column [A; B; C]: a HODLR matrix
 on top, a factorized low-rank block below it and dense coupling rows at
 the bottom.  The orthogonal factor is returned in compact WY form
 Q = I - Y T Y^T with Y unit lower triangular and T, R upper triangular
-HODLR matrices.
+HODLR matrices.  The update of each trailing block A22 is not applied to
+its subtree: it travels down the recursion as one truncated pending
+low-rank pair, so no A22 subtree is copied.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ from .arith import (
     add,
     apply_dense,
     hodlr_spectral_norm,
-    low_rank_update,
     multiply,
     scale,
     transpose,
@@ -105,82 +106,86 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     Returns (Y, T, R) with Y mirroring the column structure, and T, R
     upper triangular HODLR matrices of the column's level.
     """
+    empty = np.zeros((col.a_tilde.n, 0))
+    return _hqr_rec(col, empty, empty, eps_abs, eps_plain)
+
+
+def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float,
+             eps_plain: float) -> tuple[StructuredY, HodlrMatrix, HodlrMatrix]:
+    """hqr_rec on the column [A_tilde + u v^T; B; C].
+
+    The update -Y21 S of A22 travels down as one pending pair (u, v),
+    truncated once per node at eps_abs: the leaves add it densely before
+    their QR, each A21 joins it in the truncated sum that becomes the
+    child's B, and each A12 takes it as extra columns.  No A22 subtree is
+    copied before it is factored.
+    """
     b = left_orthogonalize(col.b)
-    a_tilde, c = col.a_tilde, col.c
+    a_tilde = col.a_tilde
     m = a_tilde.n
-    r1 = b.rank
-    r2 = c.shape[0]
-    tc_abs = TruncationControl(eps_abs)
-    tc_plain = TruncationControl(eps_plain)
+    k_b = b.rank
+    # compressed rows below A_tilde: [B_R; C]
+    rows = np.vstack([b.R, col.c])
 
     if a_tilde.is_leaf:
-        # compressed column [A; B_R; C] reduced by dense Householder QR
-        h_tilde = np.vstack([a_tilde.dense, b.R, c])
-        wy, r_dense = block_qr(h_tilde)
-        y_a = HodlrMatrix(dense=wy.Y[:m])
-        y_b_rows = wy.Y[m:m + r1]
-        y_c = wy.Y[m + r1:]
-        t = HodlrMatrix(dense=wy.T)
-        r = HodlrMatrix(dense=r_dense)
-        return StructuredY(y_a, LowRankBlock(b.L, y_b_rows, b.left_orthogonal), y_c), t, r
+        # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
+        wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
+        y_rows = wy.Y[m:]
+        return (StructuredY(HodlrMatrix(dense=wy.Y[:m]),
+                            LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal), y_rows[k_b:]),
+                HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
 
     m1 = a_tilde.a11.n
-    b_r1, b_r2 = b.R[:, :m1], b.R[:, m1:]
-    c1, c2 = c[:, :m1], c[:, m1:]
-
-    # first block column [A11; A21; B_R1; C1] has the same structure one
-    # level down
-    col1 = StructuredColumn(a_tilde.a11, a_tilde.a21, np.vstack([b_r1, c1]))
-    y1, t1, r1_fac = hqr_rec(col1, eps_abs, eps_plain)
-    y_a11 = y1.y_a
-    y_a21 = y1.y_b
-    y_br1 = y1.y_c[:r1]
-    y_c1 = y1.y_c[r1:]
-
-    # s_tilde = Y1^T [A12; A22; B_R2; C2], a sum of four low-rank terms
-    # joined and truncated once
-    a12, a22 = a_tilde.a12, a_tilde.a22
-    s_tilde = sum_lowrank([
-        LowRankBlock(apply_dense(y_a11, a12.L, trans=True), a12.R),
-        LowRankBlock(y_a21.R.T, apply_dense(a22, y_a21.L, trans=True).T),
-        LowRankBlock(y_br1.T, b_r2),
-        LowRankBlock(y_c1.T, c2),
-    ], tc_abs)
-
-    # s = T1^T s_tilde
-    s = LowRankBlock(apply_dense(t1, s_tilde.L, trans=True), s_tilde.R)
-
-    # update the second block column: subtract Y(:,1) S blockwise
-    a12_upd = sum_lowrank([a12, LowRankBlock(-apply_dense(y_a11, s.L), s.R)], tc_abs)
-    cross = y_a21.L @ (y_a21.R @ s.L)
-    a22_upd = low_rank_update(a22, -cross, s.R.T, tc_abs)
-    b_r2_upd = b_r2 - (y_br1 @ s.L) @ s.R
-    c2_upd = c2 - (y_c1 @ s.L) @ s.R
-
-    # unreduced part of the second block column, with empty low-rank part
-    col2 = StructuredColumn(a22_upd, LowRankBlock.zero(0, a22_upd.n),
-                            np.vstack([b_r2_upd, c2_upd]))
-    y2, t2, r2_fac = hqr_rec(col2, eps_abs, eps_plain)
-    y_a22 = y2.y_a
-    y_br2 = y2.y_c[:r1]
-    y_c2 = y2.y_c[r1:]
+    tc_abs = TruncationControl(eps_abs)
+    # first block column [A11 + u1 v1^T; A21 + u2 v1^T; rows1] has the same
+    # structure one level down
+    a21 = a_tilde.a21
+    if u.shape[1]:
+        a21 = sum_lowrank([a21, LowRankBlock(u[m1:], v[:m1].T)], tc_abs)
+    y1, t1, r11 = _hqr_rec(StructuredColumn(a_tilde.a11, a21, rows[:, :m1]),
+                           u[:m1], v[:m1], eps_abs, eps_plain)
+    a12_upd, pending, rows2 = _update_second_column(a_tilde, u, v, rows, y1, t1, tc_abs)
+    y2, t2, r22 = _hqr_rec(StructuredColumn(a_tilde.a22, LowRankBlock.zero(0, m - m1), rows2),
+                           pending.L, pending.R.T, eps_abs, eps_plain)
 
     # coupling block of T, truncated at the plain tolerance
+    y21 = y1.y_b
     t_tilde12 = sum_lowrank([
-        LowRankBlock(y_a21.R.T, apply_dense(y_a22, y_a21.L, trans=True).T),
-        LowRankBlock(y_br1.T, y_br2),
-        LowRankBlock(y_c1.T, y_c2),
-    ], tc_plain)
+        LowRankBlock(y21.R.T, apply_dense(y2.y_a, y21.L, trans=True).T),
+        LowRankBlock(y1.y_c.T, y2.y_c),
+    ], TruncationControl(eps_plain))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
-    r = HodlrMatrix(a11=r1_fac, a22=r2_fac, a12=a12_upd,
-                    a21=LowRankBlock.zero(r2_fac.n, r1_fac.n))
-    y_a = HodlrMatrix(a11=y_a11, a22=y_a22, a21=y_a21, a12=LowRankBlock.zero(m1, y_a22.n))
-    y_b_rows = np.hstack([y_br1, y_br2])
-    y_c = np.hstack([y_c1, y_c2])
-    return StructuredY(y_a, LowRankBlock(b.L, y_b_rows, b.left_orthogonal), y_c), t, r
+    r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
+    y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=LowRankBlock.zero(m1, y2.y_a.n))
+    y_rows = np.hstack([y1.y_c, y2.y_c])
+    return StructuredY(y_a, LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal),
+                       y_rows[k_b:]), t, r
+
+
+def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
+    # Subtract Y1 S, S = T1^T Y1^T [A12 + u1 v2^T; A22 + u2 v2^T; rows2],
+    # from the second block column: returns the updated A12, the A22 update
+    # joined to (u2, v2) as one truncated pending pair, and the updated rows.
+    # The temporaries of this frame are freed before A22 is factored.
+    m1 = a_tilde.a11.n
+    u1, u2, v2 = u[:m1], u[m1:], v[m1:]
+    y11, y21 = y1.y_a, y1.y_b
+    a12 = LowRankBlock(np.hstack([a_tilde.a12.L, u1]), np.vstack([a_tilde.a12.R, v2.T]))
+    # s_tilde is a sum of three low-rank terms joined and truncated once
+    s_tilde = sum_lowrank([
+        LowRankBlock(apply_dense(y11, a12.L, trans=True), a12.R),
+        LowRankBlock(y21.R.T, (apply_dense(a_tilde.a22, y21.L, trans=True)
+                               + v2 @ (u2.T @ y21.L)).T),
+        LowRankBlock(y1.y_c.T, rows[:, m1:]),
+    ], tc)
+    s = LowRankBlock(apply_dense(t1, s_tilde.L, trans=True), s_tilde.R)
+    a12_upd = sum_lowrank([a12, LowRankBlock(-apply_dense(y11, s.L), s.R)], tc)
+    cross = y21.L @ (y21.R @ s.L)
+    pending = sum_lowrank([LowRankBlock(u2, v2.T), LowRankBlock(-cross, s.R)], tc)
+    return a12_upd, pending, rows[:, m1:] - (y1.y_c @ s.L) @ s.R
 
 
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:

@@ -14,7 +14,6 @@ from hodlrqr import (
     from_dense,
     hodlr_identity,
     hodlr_spectral_norm,
-    low_rank_update,
     multiply,
     scale,
     solve_upper_triangular_right,
@@ -106,36 +105,6 @@ def test_add_tree_mismatch(rng):
     h2, _, _ = random_hodlr_pair(64, 32, seed=0)
     with pytest.raises(ValueError):
         add(h1, h2, TruncationControl(1e-12))
-
-
-def test_low_rank_update_zero_is_noop(rng):
-    h, dense, _ = random_hodlr_pair(64, 16, seed=15)
-    out = low_rank_update(h, np.zeros((64, 2)), np.zeros((64, 2)),
-                          TruncationControl(1e-13))
-    assert np.allclose(to_dense(out), dense)
-
-
-def test_low_rank_update_cancels_block(rng):
-    h, dense, _ = random_hodlr_pair(64, 32, rank=1, seed=16)
-    # cancel the top-right block with its own factors
-    u = np.zeros((64, 1))
-    u[:32] = h.a12.L
-    v = np.zeros((64, 1))
-    v[32:] = h.a12.R.T
-    out = low_rank_update(h, -u, v, TruncationControl(1e-12))
-    assert out.a12.rank == 0
-    expect = dense.copy()
-    expect[:32, 32:] = 0
-    assert np.max(np.abs(to_dense(out) - expect)) <= 1e-10
-
-
-def test_low_rank_update_matches_dense(rng):
-    h, dense, tree = random_hodlr_pair(96, 12, rank=2, seed=17)
-    u = rng.standard_normal((96, 3))
-    v = rng.standard_normal((96, 3))
-    eps = 1e-11
-    out = low_rank_update(h, u, v, TruncationControl(eps))
-    assert np.linalg.norm(to_dense(out) - (dense + u @ v.T), 2) <= tree.level * eps
 
 
 def test_multiply_identity(rng):
@@ -385,19 +354,15 @@ def test_solve_upper_right_one_leaf_solve_per_leaf(monkeypatch, n_min):
     assert len(truncations) == 2 * (2 ** tree.level - 1) - tree.level
 
 
-def test_multiply_and_right_solve_skip_low_rank_update(monkeypatch):
-    def no_update(*args, **kwargs):
-        raise AssertionError("low_rank_update called")
-
-    h, dense, tree = random_hodlr_pair(200, 25, rank=2, seed=35)
-    r = random_hodlr(np.random.default_rng(36), tree, ranks=(2,), upper=True)
-    r_d = to_dense(r)
-    monkeypatch.setattr(arith, "low_rank_update", no_update)
-    tc = TruncationControl(0.0)
-    prod = multiply(h, r, tc)
-    assert np.allclose(to_dense(prod), dense @ r_d, atol=1e-10)
-    x = solve_upper_triangular_right(h, r, tc)
-    assert np.allclose(to_dense(x) @ r_d, dense, atol=1e-10)
+@pytest.mark.parametrize("trans", [False, True])
+def test_apply_dense_without_columns_visits_no_node(monkeypatch, trans):
+    # cholqr2's closing multiply of two triangular factors applies subtrees
+    # to the 0-column factors of their rank-0 a21 blocks
+    h, _, _ = random_hodlr_pair(200, 25, rank=2, seed=35)
+    visits = _count_calls(monkeypatch, arith, "_apply_into")
+    out = apply_dense(h, np.zeros((200, 0)), trans=trans)
+    assert out.shape == (200, 0)
+    assert not visits
 
 
 def test_cholesky_breakdown_without_failing_pivot_on_retry(monkeypatch):

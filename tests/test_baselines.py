@@ -11,7 +11,6 @@ from hodlrqr import (
     hodlr_identity,
     to_dense,
 )
-from hodlrqr import arith
 from hodlrqr.bench import metrics
 
 from conftest import random_hodlr_pair
@@ -72,16 +71,3 @@ def test_cholqr2_near_noop_on_orthogonal_input():
     tree = build_partition(48, 12)
     q, r = cholqr2(hodlr_identity(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48), atol=1e-10)
-
-
-def test_cholqr_skips_low_rank_update(monkeypatch):
-    # the Gram matrix and the Schur complements update only the blocks the
-    # Cholesky factorization reads
-    def no_update(*args, **kwargs):
-        raise AssertionError("low_rank_update called")
-
-    h, dense, _ = random_hodlr_pair(200, 25, rank=2, seed=50)
-    monkeypatch.setattr(arith, "low_rank_update", no_update)
-    q, r = cholqr(h, TruncationControl(1e-12 * np.linalg.norm(dense, 2)))
-    assert np.allclose(to_dense(q) @ to_dense(r), dense, atol=1e-8)
-    assert np.linalg.norm(to_dense(q).T @ to_dense(q) - np.eye(200), 2) <= 1e-6

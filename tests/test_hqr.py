@@ -25,6 +25,7 @@ from hodlrqr import (
     transpose,
 )
 from hodlrqr.arith import apply_dense
+from hodlrqr.bench import gen_random_hodlr
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr, random_hodlr_pair
@@ -369,3 +370,30 @@ def test_hqr_matches_dense_householder_qr(seed, n, n_min, kind, alpha, eps):
         assert np.max(np.abs(col_norms[0] - col_norms[1])) <= bound * norm
     else:
         assert np.max(np.abs(r - r_ref)) <= bound * norm
+
+
+def test_hqr_builds_only_the_leaves_of_y_t_and_r(monkeypatch):
+    # the A22 updates travel down as pending pairs, so no leaf is copied
+    # before it is factored: one leaf each of Y, T and R per leaf of A
+    a = gen_random_hodlr(2000, 250, 4, seed=0)
+    leaves = []
+    init = HodlrMatrix.__init__
+
+    def counted(self, dense=None, **blocks):
+        if dense is not None:
+            leaves.append(1)
+        init(self, dense=dense, **blocks)
+
+    monkeypatch.setattr(HodlrMatrix, "__init__", counted)
+    hqr(a, 1e-10)
+    assert len(leaves) == 3 * 2 ** a.level
+
+
+def test_hqr_orthogonality_rank_16_seed_41():
+    # an earlier pending-pair prototype lost orthogonality on this input
+    # (e_orth 4.3e-10); 1e-11 is the benchmark's envelope for it
+    a = gen_random_hodlr(8000, 250, 16, seed=41)
+    f = hqr(a, 1e-10)
+    x = np.random.default_rng([41, 2]).standard_normal((8000, 16))
+    e_orth = np.linalg.norm(apply_q_transpose(f, apply_q(f, x)) - x) / np.linalg.norm(x)
+    assert e_orth <= 1e-11
