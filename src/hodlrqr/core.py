@@ -218,21 +218,29 @@ def left_orthogonalize(b: LowRankBlock) -> LowRankBlock:
 
 
 def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
-    """Recompression operator: QR both factors, SVD the small core, keep the
-    smallest rank with tail singular value <= tc.eps.
+    """Recompression operator: the one-block case of truncate_shared."""
+    return truncate_shared([b.L], b.R, tc)[0]
 
-    Costs O((n_rows + n_cols) * k^2) and returns a left-orthogonal block
-    within tc.eps of the input in the 2-norm.
+
+def truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
+    """Recompress the blocks L @ right, L in lefts, that share one right
+    factor: one QR of right^T, then per block a QR of L and an SVD of the
+    small core, keeping the smallest rank with tail singular value <= tc.eps.
+
+    Costs O((n_rows + n_cols) * k^2) per block and returns left-orthogonal
+    blocks, each within tc.eps of its L @ right in the 2-norm.
     """
-    if b.rank == 0:
-        return b if b.left_orthogonal else LowRankBlock(b.L, b.R, True)
-    q1, r1 = np.linalg.qr(b.L, mode="reduced")
-    q2, r2 = np.linalg.qr(b.R.T, mode="reduced")
-    core = svd(r1 @ r2.T)
-    k = truncation_rank(core.sigma, tc.eps)
-    L = q1 @ core.U[:, :k]
-    R = (core.sigma[:k, None] * core.V[:, :k].T) @ q2.T
-    return LowRankBlock(L, R, left_orthogonal=True)
+    if right.shape[0] == 0:
+        return [LowRankBlock(L, right, True) for L in lefts]
+    q2, r2 = np.linalg.qr(right.T, mode="reduced")
+    out = []
+    for L in lefts:
+        q1, r1 = np.linalg.qr(L, mode="reduced")
+        core = svd(r1 @ r2.T)
+        k = truncation_rank(core.sigma, tc.eps)
+        out.append(LowRankBlock(q1 @ core.U[:, :k],
+                                (core.sigma[:k, None] * core.V[:, :k].T) @ q2.T, True))
+    return out
 
 
 def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:

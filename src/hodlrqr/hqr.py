@@ -21,6 +21,7 @@ from .core import (
     hodlr_identity,
     left_orthogonalize,
     sum_lowrank,
+    truncate_shared,
 )
 from .arith import (
     add,
@@ -169,23 +170,25 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     # Subtract Y1 S, S = T1^T Y1^T [A12 + u1 v2^T; A22 + u2 v2^T; rows2],
     # from the second block column: returns the updated A12, the A22 update
     # joined to (u2, v2) as one truncated pending pair, and the updated rows.
+    # S is kept exact as G M, M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T;
+    # rows2] the joined right factor of its three terms, so both truncated
+    # blocks have M as right factor and one QR of M^T serves them both.
     # The temporaries of this frame are freed before A22 is factored.
     m1 = a_tilde.a11.n
     u1, u2, v2 = u[:m1], u[m1:], v[m1:]
     y11, y21 = y1.y_a, y1.y_b
-    a12 = LowRankBlock(np.hstack([a_tilde.a12.L, u1]), np.vstack([a_tilde.a12.R, v2.T]))
-    # s_tilde is a sum of three low-rank terms joined and truncated once
-    s_tilde = sum_lowrank([
-        LowRankBlock(apply_dense(y11, a12.L, trans=True), a12.R),
-        LowRankBlock(y21.R.T, (apply_dense(a_tilde.a22, y21.L, trans=True)
-                               + v2 @ (u2.T @ y21.L)).T),
-        LowRankBlock(y1.y_c.T, rows[:, m1:]),
-    ], tc)
-    s = LowRankBlock(apply_dense(t1, s_tilde.L, trans=True), s_tilde.R)
-    a12_upd = sum_lowrank([a12, LowRankBlock(-apply_dense(y11, s.L), s.R)], tc)
-    cross = y21.L @ (y21.R @ s.L)
-    pending = sum_lowrank([LowRankBlock(u2, v2.T), LowRankBlock(-cross, s.R)], tc)
-    return a12_upd, pending, rows[:, m1:] - (y1.y_c @ s.L) @ s.R
+    a12_l = np.hstack([a_tilde.a12.L, u1])
+    k_a, k_a12 = a_tilde.a12.rank, a12_l.shape[1]
+    m = np.vstack([a_tilde.a12.R, v2.T, (apply_dense(a_tilde.a22, y21.L, trans=True)
+                                         + v2 @ (u2.T @ y21.L)).T, rows[:, m1:]])
+    g = apply_dense(t1, np.hstack([apply_dense(y11, a12_l, trans=True), y21.R.T,
+                                   y1.y_c.T]), trans=True)
+    a12_l_upd = -apply_dense(y11, g)
+    a12_l_upd[:, :k_a12] += a12_l
+    pending_l = -y21.L @ (y21.R @ g)
+    pending_l[:, k_a:k_a12] += u2
+    a12_upd, pending = truncate_shared([a12_l_upd, pending_l], m, tc)
+    return a12_upd, pending, rows[:, m1:] - (y1.y_c @ g) @ m
 
 
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodlrqr import (
     CorruptionError,
@@ -23,7 +23,7 @@ from hodlrqr import (
     truncation_rank,
     write_hodlr,
 )
-from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
+from hodlrqr.core import UPPER_TRIANGULAR, truncate_shared, validate_structure
 
 from conftest import random_hodlr_pair
 
@@ -201,6 +201,39 @@ def test_sum_lowrank_error_within_eps(ranks, n_rows, n_cols, eps, zero_term, see
     roundoff = 100 * np.finfo(float).eps * sum(
         np.linalg.norm(b.L) * np.linalg.norm(b.R) for b in blocks)
     assert np.linalg.norm(out.to_dense() - exact, 2) <= eps * (1 + 1e-9) + roundoff
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       st.integers(0, 15), st.integers(1, 12),
+       st.one_of(st.just(0.0), st.floats(1e-14, 10.0)),
+       st.sampled_from(["none", "left", "right"]), st.integers(0, 2**32 - 1))
+@example([3, 12], 15, 5, 0.0, "none", 0)  # K above every n_rows and n_cols
+@example([4, 2], 6, 7, 0.0, "left", 1)
+@example([5], 3, 4, 0.0, "right", 2)
+@example([5], 0, 4, 0.0, "none", 3)
+def test_truncate_shared_matches_truncate_lowrank(n_rows, k, n_cols, eps, zero, seed):
+    # each left factor truncated against one shared right factor, ranks k
+    # up to above every n_rows and n_cols
+    rng = np.random.default_rng(seed)
+    lefts = [rng.standard_normal((n, k)) for n in n_rows]
+    right = rng.standard_normal((k, n_cols))
+    if zero == "left":
+        lefts[0] = np.zeros_like(lefts[0])
+    elif zero == "right":
+        right = np.zeros_like(right)
+    tc = TruncationControl(eps)
+    outs = truncate_shared(lefts, right, tc)
+    assert len(outs) == len(lefts)
+    for L, out in zip(lefts, outs):
+        assert (out.n_rows, out.n_cols) == (L.shape[0], n_cols)
+        assert out.rank == truncate_lowrank(LowRankBlock(L, right), tc).rank
+        assert out.left_orthogonal
+        assert np.linalg.norm(out.L.T @ out.L - np.eye(out.rank), 2) <= 1e-13
+        roundoff = 100 * np.finfo(float).eps * np.linalg.norm(L) * np.linalg.norm(right)
+        assert np.linalg.norm(out.to_dense() - L @ right, 2) <= eps * (1 + 1e-9) + roundoff
+        if zero == "right" or (zero == "left" and L is lefts[0]):
+            assert out.rank == 0
 
 
 def test_sum_lowrank_rank_zero_operands_keep_first_block(rng):

@@ -21,14 +21,18 @@ from hodlrqr import (
     q_to_hodlr,
     scale,
     stats,
+    sum_lowrank,
     to_dense,
     transpose,
 )
+from hodlrqr import core
 from hodlrqr.arith import apply_dense
 from hodlrqr.bench import gen_random_hodlr
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr, random_hodlr_pair
+
+hqr_mod = importlib.import_module("hodlrqr.hqr")
 
 
 def dense_q(f):
@@ -387,6 +391,50 @@ def test_hqr_builds_only_the_leaves_of_y_t_and_r(monkeypatch):
     monkeypatch.setattr(HodlrMatrix, "__init__", counted)
     hqr(a, 1e-10)
     assert len(leaves) == 3 * 2 ** a.level
+
+
+def test_hqr_one_svd_per_truncation(monkeypatch):
+    # per internal node: the A21 join (none on the left edge, where no
+    # pending pair arrives), A12 and the A22 update truncated against one
+    # shared right factor, and the T coupling block; truncating S as well
+    # made 5 (2^L - 1) - L
+    a = gen_random_hodlr(2000, 250, 4, seed=0)
+    calls = []
+    svd = core.svd
+
+    def counted(m):
+        calls.append(1)
+        return svd(m)
+
+    monkeypatch.setattr(core, "svd", counted)
+    hqr(a, 1e-10)
+    assert len(calls) == 4 * (2 ** a.level - 1) - a.level
+
+
+def test_update_second_column_matches_dense_oracle():
+    # a level-2 column [A + u v^T; C] with a pending pair; at eps = 0 the
+    # updated A12, A22 + pending pair and rows equal their dense values
+    m, p, r2 = 128, 3, 5
+    rng = np.random.default_rng(37)
+    a, dense, _ = random_hodlr_pair(m, 32, rank=2, seed=37)
+    u, v = rng.standard_normal((m, p)), rng.standard_normal((m, p))
+    rows = rng.standard_normal((r2, m))
+    m1 = a.a11.n
+    tc = TruncationControl(0.0)
+    a21 = sum_lowrank([a.a21, LowRankBlock(u[m1:], v[:m1].T)], tc)
+    y1, t1, _ = hqr_mod._hqr_rec(StructuredColumn(a.a11, a21, rows[:, :m1]),
+                                 u[:m1], v[:m1], 0.0, 0.0)
+    a12_upd, pending, rows2 = hqr_mod._update_second_column(a, u, v, rows, y1, t1, tc)
+
+    second = np.vstack([dense[:, m1:] + u @ v[m1:].T, rows[:, m1:]])
+    s = to_dense(t1).T @ (y1.to_dense().T @ second)
+    updated = second - y1.to_dense() @ s
+    norm = np.linalg.norm(np.vstack([dense + u @ v.T, rows]), 2)
+    assert pending.rank > 0
+    assert np.linalg.norm(a12_upd.to_dense() - updated[:m1], 2) <= 1e-12 * norm
+    a22 = dense[m1:, m1:] + pending.to_dense()
+    assert np.linalg.norm(a22 - updated[m1:m], 2) <= 1e-12 * norm
+    assert np.linalg.norm(rows2 - updated[m:], 2) <= 1e-12 * norm
 
 
 def test_hqr_orthogonality_rank_16_seed_41():
