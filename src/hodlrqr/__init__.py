@@ -48,7 +48,7 @@ from .hqr import (
     q_to_hodlr,
 )
 from .io import CorruptionError, FormatError, read_hodlr, write_hodlr
-from .rect import RectHodlr, RectQRFactors, rect_qr_prototype
+from .rect import RectQRFactors, rect_qr_prototype
 from .wy import DenseWY, block_qr
 
 __version__ = "0.1.0"
@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CholeskyBreakdownError", "CorruptionError", "DenseWY", "FormatError",
     "HodlrMatrix", "HodlrQRFactors", "LowRankBlock", "PartitionTree",
-    "RectHodlr", "RectQRFactors", "StructuredColumn", "StructuredY",
+    "RectQRFactors", "StructuredColumn", "StructuredY",
     "SvdResult", "TruncationControl", "add", "apply_dense", "apply_q",
     "apply_q_transpose", "block_qr", "build_partition", "cholesky", "cholqr",
     "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm", "hqr",

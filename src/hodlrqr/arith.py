@@ -36,6 +36,7 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarra
     """H @ x, or H.T @ x with ``trans``, for a dense matrix x, evaluated by
     recursive descent without forming the transpose.
 
+    H may be rectangular: rows split by ``n`` and columns by ``n_cols``.
     Off-diagonal contributions go through the low-rank factors, so the
     cost is O(k n log n) per column and nothing is truncated.  Every node
     writes into its row slice of one output array: the leaves through
@@ -43,9 +44,10 @@ def apply_dense(h: HodlrMatrix, x: np.ndarray, trans: bool = False) -> np.ndarra
     x without columns returns its empty output at once.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != h.n:
-        raise ValueError(f"dimension mismatch: {h.n} vs {x.shape[0]}")
-    out = np.empty(x.shape)
+    n_in, n_out = (h.n, h.n_cols) if trans else (h.n_cols, h.n)
+    if x.shape[0] != n_in:
+        raise ValueError(f"dimension mismatch: {n_in} vs {x.shape[0]}")
+    out = np.empty((n_out,) + x.shape[1:])
     if out.size:
         _apply_into(h, x, trans, out)
     return out
@@ -55,12 +57,13 @@ def _apply_into(h: HodlrMatrix, x: np.ndarray, trans: bool, out: np.ndarray) -> 
     if h.is_leaf:
         np.matmul(h.dense.T if trans else h.dense, x, out=out)
         return
-    m1 = h.a11.n
-    x1, x2 = x[:m1], x[m1:]
     if trans:  # H.T has A21.T above the diagonal and A12.T below it
+        m1, n1 = h.a11.n_cols, h.a11.n
         up_l, up_r, low_l, low_r = h.a21.R.T, h.a21.L.T, h.a12.R.T, h.a12.L.T
     else:
+        m1, n1 = h.a11.n, h.a11.n_cols
         up_l, up_r, low_l, low_r = h.a12.L, h.a12.R, h.a21.L, h.a21.R
+    x1, x2 = x[:n1], x[n1:]
     _apply_into(h.a11, x1, trans, out[:m1])
     out[:m1] += up_l @ (up_r @ x2)
     _apply_into(h.a22, x2, trans, out[m1:])

@@ -96,68 +96,47 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
     its own PCG64 stream, spawned from SeedSequence(seed) in the HDLR1
     serialization order (a11 subtree, a21 block, a12 block, a22 subtree).
     """
-    if offdiag_rank < 0:
-        raise ValueError(f"offdiag_rank must be >= 0, got {offdiag_rank}")
     tree = build_partition(n, n_min)
-    root = np.random.SeedSequence(seed)
-
-    def next_rng():
-        return np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
-
-    def build(tr: PartitionTree) -> HodlrMatrix:
-        if tr.level == 0:
-            return HodlrMatrix(dense=next_rng().standard_normal((tr.n, tr.n)))
-        t1, t2 = tr.split()
-        a11 = build(t1)
-        g21 = next_rng()
-        a21 = LowRankBlock(g21.standard_normal((t2.n, offdiag_rank)),
-                           g21.standard_normal((offdiag_rank, t1.n)))
-        g12 = next_rng()
-        a12 = LowRankBlock(g12.standard_normal((t1.n, offdiag_rank)),
-                           g12.standard_normal((offdiag_rank, t2.n)))
-        a22 = build(t2)
-        return HodlrMatrix(a11=a11, a22=a22, a12=a12, a21=a21)
-
-    return build(tree)
+    return _random_hodlr(tree, tree, offdiag_rank, seed)
 
 
 def gen_random_rect_dense(m: int, n: int, n_min: int = 250, offdiag_rank: int = 1,
                           seed: int = 0):
-    """Random rectangular block matrix with the same recipe as
-    gen_random_hodlr: dense standard normal diagonal blocks, rank-1 (by
-    default) off-diagonal blocks.  Returns (dense, tree_rows, tree_cols);
-    the row tree divides the m rows evenly at the level of the column
-    tree.
+    """Random rectangular block matrix with the recipe of gen_random_hodlr,
+    as a dense array.  Returns (dense, tree_rows, tree_cols); the row tree
+    divides the m rows evenly at the level of the column tree.
     """
     tree_cols = build_partition(n, n_min)
     leaves = 2 ** tree_cols.level
     base, rem = divmod(m, leaves)
     row_sizes = tuple(base + 1 if j < rem else base for j in range(leaves))
     tree_rows = PartitionTree(tree_cols.level, row_sizes)
+    return to_dense(_random_hodlr(tree_rows, tree_cols, offdiag_rank, seed)), tree_rows, tree_cols
+
+
+def _random_hodlr(tree_rows, tree_cols, offdiag_rank, seed) -> HodlrMatrix:
+    if offdiag_rank < 0:
+        raise ValueError(f"offdiag_rank must be >= 0, got {offdiag_rank}")
     root = np.random.SeedSequence(seed)
 
     def next_rng():
         return np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
 
-    out = np.zeros((m, n))
+    def block(n_rows, n_cols) -> LowRankBlock:
+        g = next_rng()
+        return LowRankBlock(g.standard_normal((n_rows, offdiag_rank)),
+                            g.standard_normal((offdiag_rank, n_cols)))
 
-    def fill(rlo, rhi, clo, chi, tr, tcs):
+    def build(tr: PartitionTree, tc: PartitionTree) -> HodlrMatrix:
         if tr.level == 0:
-            out[rlo:rhi, clo:chi] = next_rng().standard_normal((rhi - rlo, chi - clo))
-            return
-        tr1, tr2 = tr.split()
-        tc1, tc2 = tcs.split()
-        rmid, cmid = rlo + tr1.n, clo + tc1.n
-        fill(rlo, rmid, clo, cmid, tr1, tc1)
-        g21 = next_rng()
-        out[rmid:rhi, clo:cmid] = g21.standard_normal((rhi - rmid, offdiag_rank)) @ \
-            g21.standard_normal((offdiag_rank, cmid - clo))
-        g12 = next_rng()
-        out[rlo:rmid, cmid:chi] = g12.standard_normal((rmid - rlo, offdiag_rank)) @ \
-            g12.standard_normal((offdiag_rank, chi - cmid))
-        fill(rmid, rhi, cmid, chi, tr2, tc2)
-    fill(0, m, 0, n, tree_rows, tree_cols)
-    return out, tree_rows, tree_cols
+            return HodlrMatrix(dense=next_rng().standard_normal((tr.n, tc.n)))
+        (r1, r2), (c1, c2) = tr.split(), tc.split()
+        a11 = build(r1, c1)
+        a21 = block(r2.n, c1.n)
+        a12 = block(r1.n, c2.n)
+        return HodlrMatrix(a11=a11, a22=build(r2, c2), a12=a12, a21=a21)
+
+    return build(tree_rows, tree_cols)
 
 
 def gen_cauchy(n: int, ix_lo: float, ix_hi: float, iy_lo: float, iy_hi: float,

@@ -111,28 +111,35 @@ class LowRankBlock:
 
 
 class HodlrMatrix:
-    """Square HODLR matrix: a dense leaf, or two HODLR diagonal children
-    plus two low-rank off-diagonal blocks."""
+    """HODLR matrix: a dense leaf, or two HODLR diagonal children plus two
+    low-rank off-diagonal blocks.
 
-    __slots__ = ("dense", "a11", "a22", "a12", "a21", "n")
+    ``n`` counts the rows and ``n_cols`` the columns.  Square matrices have
+    square leaves; a rectangular one (as ``rect_qr_prototype`` factors) has
+    leaves m_j x n_j, and its a12 is a11.n x a22.n_cols, its a21
+    a22.n x a11.n_cols.
+    """
+
+    __slots__ = ("dense", "a11", "a22", "a12", "a21", "n", "n_cols")
 
     def __init__(self, dense=None, a11=None, a22=None, a12=None, a21=None):
         if dense is not None:
             dense = np.asarray(dense, dtype=float)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-                raise ValueError("leaf must be square")
+            if dense.ndim != 2:
+                raise ValueError("leaf must be a matrix")
             self.dense = dense
             self.a11 = self.a22 = self.a12 = self.a21 = None
-            self.n = dense.shape[0]
+            self.n, self.n_cols = dense.shape
         else:
             if a11 is None or a22 is None or a12 is None or a21 is None:
                 raise ValueError("node requires a11, a22, a12 and a21")
-            m1, m2 = a11.n, a22.n
-            if (a12.n_rows, a12.n_cols) != (m1, m2) or (a21.n_rows, a21.n_cols) != (m2, m1):
+            if ((a12.n_rows, a12.n_cols) != (a11.n, a22.n_cols)
+                    or (a21.n_rows, a21.n_cols) != (a22.n, a11.n_cols)):
                 raise ValueError("off-diagonal block shapes do not match children")
             self.dense = None
             self.a11, self.a22, self.a12, self.a21 = a11, a22, a12, a21
-            self.n = m1 + m2
+            self.n = a11.n + a22.n
+            self.n_cols = a11.n_cols + a22.n_cols
 
     @property
     def is_leaf(self) -> bool:
@@ -143,6 +150,7 @@ class HodlrMatrix:
         return 0 if self.is_leaf else 1 + max(self.a11.level, self.a22.level)
 
     def leaf_sizes(self) -> tuple[int, ...]:
+        """Row counts of the leaves."""
         if self.is_leaf:
             return (self.n,)
         return self.a11.leaf_sizes() + self.a22.leaf_sizes()
@@ -150,16 +158,25 @@ class HodlrMatrix:
     def tree(self) -> PartitionTree:
         return PartitionTree(self.level, self.leaf_sizes())
 
+    def is_square(self) -> bool:
+        """True when every leaf is square, so rows and columns share one tree."""
+        if self.is_leaf:
+            return self.n == self.n_cols
+        return self.a11.is_square() and self.a22.is_square()
+
     def same_structure(self, other: "HodlrMatrix") -> bool:
-        if self.is_leaf != other.is_leaf or self.n != other.n:
+        if (self.is_leaf != other.is_leaf or self.n != other.n
+                or self.n_cols != other.n_cols):
             return False
         if self.is_leaf:
             return True
         return self.a11.same_structure(other.a11) and self.a22.same_structure(other.a22)
 
 
-def from_dense(m: np.ndarray, tree: PartitionTree, tc: TruncationControl) -> HodlrMatrix:
-    """Compress a dense square matrix into HODLR form.
+def from_dense(m: np.ndarray, tree: PartitionTree, tc: TruncationControl,
+               tree_cols: PartitionTree | None = None) -> HodlrMatrix:
+    """Compress a dense matrix into HODLR form, its rows split by ``tree``
+    and its columns by ``tree_cols`` (default: ``tree``, a square matrix).
 
     Every off-diagonal block is truncated independently via SVD, keeping
     the smallest rank whose tail singular value is <= tc.eps. The factors
@@ -167,19 +184,24 @@ def from_dense(m: np.ndarray, tree: PartitionTree, tc: TruncationControl) -> Hod
     error satisfies ||M - H||_2 <= level * tc.eps.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("from_dense requires a square matrix")
-    if m.shape[0] != tree.n:
-        raise ValueError(f"matrix size {m.shape[0]} does not match tree size {tree.n}")
+    if tree_cols is None:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("from_dense requires a square matrix")
+        tree_cols = tree
+    if m.ndim != 2 or m.shape != (tree.n, tree_cols.n):
+        raise ValueError(f"matrix shape {m.shape} does not match tree sizes "
+                         f"({tree.n}, {tree_cols.n})")
+    if tree.level != tree_cols.level:
+        raise ValueError("row and column trees must have equal level")
     if tree.level == 0:
         return HodlrMatrix(dense=m.copy())
-    t1, t2 = tree.split()
-    m1 = t1.n
+    (t1, t2), (c1, c2) = tree.split(), tree_cols.split()
+    m1, n1 = t1.n, c1.n
     return HodlrMatrix(
-        a11=from_dense(m[:m1, :m1], t1, tc),
-        a22=from_dense(m[m1:, m1:], t2, tc),
-        a12=compress_block(m[:m1, m1:], tc),
-        a21=compress_block(m[m1:, :m1], tc),
+        a11=from_dense(m[:m1, :n1], t1, tc, c1),
+        a22=from_dense(m[m1:, n1:], t2, tc, c2),
+        a12=compress_block(m[:m1, n1:], tc),
+        a21=compress_block(m[m1:, :n1], tc),
     )
 
 
@@ -200,12 +222,12 @@ def to_dense(h: HodlrMatrix) -> np.ndarray:
     """Materialize a HODLR matrix densely (test oracle; caller keeps n small)."""
     if h.is_leaf:
         return h.dense.copy()
-    m1 = h.a11.n
-    out = np.empty((h.n, h.n))
-    out[:m1, :m1] = to_dense(h.a11)
-    out[m1:, m1:] = to_dense(h.a22)
-    out[:m1, m1:] = h.a12.to_dense()
-    out[m1:, :m1] = h.a21.to_dense()
+    m1, n1 = h.a11.n, h.a11.n_cols
+    out = np.empty((h.n, h.n_cols))
+    out[:m1, :n1] = to_dense(h.a11)
+    out[m1:, n1:] = to_dense(h.a22)
+    out[:m1, n1:] = h.a12.to_dense()
+    out[m1:, :n1] = h.a21.to_dense()
     return out
 
 

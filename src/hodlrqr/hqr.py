@@ -37,16 +37,17 @@ from .wy import block_qr
 
 @dataclass
 class StructuredColumn:
-    """Recursion input [a_tilde; b; c]: an m x m HODLR block, a factorized
-    p x m low-rank block and r2 x m dense coupling rows.  b and c may both
-    be empty."""
+    """Recursion input [a_tilde; b; c]: an m x n HODLR block with leaves
+    m_j x n_j, m_j >= n_j (square for ``hqr``), a factorized p x n
+    low-rank block and r2 x n dense coupling rows.  b and c may both be
+    empty."""
 
     a_tilde: HodlrMatrix
     b: LowRankBlock
     c: np.ndarray
 
     def __post_init__(self):
-        m = self.a_tilde.n
+        m = self.a_tilde.n_cols
         self.c = np.asarray(self.c, dtype=float)
         if self.b.n_cols != m:
             raise ValueError("column counts of a_tilde and b must agree")
@@ -55,7 +56,7 @@ class StructuredColumn:
 
     @staticmethod
     def whole_matrix(a: HodlrMatrix) -> "StructuredColumn":
-        return StructuredColumn(a, LowRankBlock.zero(0, a.n), np.zeros((0, a.n)))
+        return StructuredColumn(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)))
 
 
 @dataclass
@@ -90,9 +91,13 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     makes the truncation more conservative.  With
     ``absolute`` the threshold eps is used as-is everywhere.  Input with an
     inf or nan entry, or an eps that is not finite and >= 0, raises
-    ValueError.
+    ValueError, and so does a HODLR matrix with a non-square leaf
+    (``rect_qr_prototype`` factors those).
     """
     check_tolerance(eps)
+    if not a.is_square():
+        raise ValueError("hqr requires a square HODLR matrix; "
+                         "rect_qr_prototype factors rectangular ones")
     if not all_finite(a):
         raise ValueError("hqr input has non-finite entries (inf or nan)")
     eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)
@@ -105,10 +110,21 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     """One recursion step on a structured block column.
 
     Returns (Y, T, R) with Y mirroring the column structure, and T, R
-    upper triangular HODLR matrices of the column's level.
+    n x n upper triangular HODLR matrices of the column's level over its
+    column tree.  With rectangular leaves the triangle of leaf j sits on
+    its first n_j rows (see ``triangle_rows``): R holds those rows of the
+    reduced column and every other row of A_tilde is reduced to zero.
     """
-    empty = np.zeros((col.a_tilde.n, 0))
-    return _hqr_rec(col, empty, empty, eps_abs, eps_plain)
+    a = col.a_tilde
+    return _hqr_rec(col, np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
+
+
+def triangle_rows(h: HodlrMatrix) -> np.ndarray:
+    """Row indices of h that hold R after hqr_rec: the first n_j rows of
+    every leaf j, in leaf order."""
+    if h.is_leaf:
+        return np.arange(h.n_cols)
+    return np.concatenate([triangle_rows(h.a11), h.a11.n + triangle_rows(h.a22)])
 
 
 def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float,
@@ -129,6 +145,8 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     rows = np.vstack([b.R, col.c])
 
     if a_tilde.is_leaf:
+        if m < a_tilde.n_cols:
+            raise ValueError(f"leaf {m} x {a_tilde.n_cols} is wider than tall")
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
         wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
         y_rows = wy.Y[m:]
@@ -136,31 +154,44 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
                             LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal), y_rows[k_b:]),
                 HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
 
-    m1 = a_tilde.a11.n
+    a11, a22 = a_tilde.a11, a_tilde.a22
+    m1, n1 = a11.n, a11.n_cols
     tc_abs = TruncationControl(eps_abs)
     # first block column [A11 + u1 v1^T; A21 + u2 v1^T; rows1] has the same
     # structure one level down
     a21 = a_tilde.a21
     if u.shape[1]:
-        a21 = sum_lowrank([a21, LowRankBlock(u[m1:], v[:m1].T)], tc_abs)
-    y1, t1, r11 = _hqr_rec(StructuredColumn(a_tilde.a11, a21, rows[:, :m1]),
-                           u[:m1], v[:m1], eps_abs, eps_plain)
+        a21 = sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
+    y1, t1, r11 = _hqr_rec(StructuredColumn(a11, a21, rows[:, :n1]),
+                           u[:m1], v[:n1], eps_abs, eps_plain)
     a12_upd, pending, rows2 = _update_second_column(a_tilde, u, v, rows, y1, t1, tc_abs)
-    y2, t2, r22 = _hqr_rec(StructuredColumn(a_tilde.a22, LowRankBlock.zero(0, m - m1), rows2),
+    # rows of A11 off its leaves' triangles were reduced to zero in the first
+    # block column but not in the second: they join it as its b
+    b2 = LowRankBlock.zero(0, a22.n_cols)
+    if m1 > n1:
+        tri = triangle_rows(a11)
+        rest = np.setdiff1d(np.arange(m1), tri)
+        b2 = LowRankBlock(a12_upd.L[rest], a12_upd.R)
+        a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
+    y2, t2, r22 = _hqr_rec(StructuredColumn(a22, b2, rows2),
                            pending.L, pending.R.T, eps_abs, eps_plain)
 
     # coupling block of T, truncated at the plain tolerance
-    y21 = y1.y_b
-    t_tilde12 = sum_lowrank([
-        LowRankBlock(y21.R.T, apply_dense(y2.y_a, y21.L, trans=True).T),
-        LowRankBlock(y1.y_c.T, y2.y_c),
-    ], TruncationControl(eps_plain))
+    y21, y12 = y1.y_b, LowRankBlock.zero(m1, a22.n_cols)
+    terms = [LowRankBlock(y21.R.T, apply_dense(y2.y_a, y21.L, trans=True).T),
+             LowRankBlock(y1.y_c.T, y2.y_c)]
+    if m1 > n1:  # Y12 is the second column's y_b, placed on the rows of b2
+        y12_l = np.zeros((m1, y2.y_b.rank))
+        y12_l[rest] = y2.y_b.L
+        y12 = LowRankBlock(y12_l, y2.y_b.R, y2.y_b.left_orthogonal)
+        terms.append(LowRankBlock(apply_dense(y1.y_a, y12_l, trans=True), y12.R))
+    t_tilde12 = sum_lowrank(terms, TruncationControl(eps_plain))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
-    y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=LowRankBlock.zero(m1, y2.y_a.n))
+    y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=y12)
     y_rows = np.hstack([y1.y_c, y2.y_c])
     return StructuredY(y_a, LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal),
                        y_rows[k_b:]), t, r
@@ -174,13 +205,13 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     # rows2] the joined right factor of its three terms, so both truncated
     # blocks have M as right factor and one QR of M^T serves them both.
     # The temporaries of this frame are freed before A22 is factored.
-    m1 = a_tilde.a11.n
-    u1, u2, v2 = u[:m1], u[m1:], v[m1:]
+    m1, n1 = a_tilde.a11.n, a_tilde.a11.n_cols
+    u1, u2, v2 = u[:m1], u[m1:], v[n1:]
     y11, y21 = y1.y_a, y1.y_b
     a12_l = np.hstack([a_tilde.a12.L, u1])
     k_a, k_a12 = a_tilde.a12.rank, a12_l.shape[1]
     m = np.vstack([a_tilde.a12.R, v2.T, (apply_dense(a_tilde.a22, y21.L, trans=True)
-                                         + v2 @ (u2.T @ y21.L)).T, rows[:, m1:]])
+                                         + v2 @ (u2.T @ y21.L)).T, rows[:, n1:]])
     g = apply_dense(t1, np.hstack([apply_dense(y11, a12_l, trans=True), y21.R.T,
                                    y1.y_c.T]), trans=True)
     a12_l_upd = -apply_dense(y11, g)
@@ -188,7 +219,7 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     pending_l = -y21.L @ (y21.R @ g)
     pending_l[:, k_a:k_a12] += u2
     a12_upd, pending = truncate_shared([a12_l_upd, pending_l], m, tc)
-    return a12_upd, pending, rows[:, m1:] - (y1.y_c @ g) @ m
+    return a12_upd, pending, rows[:, n1:] - (y1.y_c @ g) @ m
 
 
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:

@@ -55,7 +55,10 @@ def _write_tree(buf, h: HodlrMatrix):
 
 
 def write_hodlr(h: HodlrMatrix, path) -> None:
-    """Serialize a HODLR matrix to an HDLR1 file (bit-exact round trip)."""
+    """Serialize a square HODLR matrix to an HDLR1 file (bit-exact round
+    trip); a non-square leaf raises ValueError, since HDLR1 holds one tree."""
+    if not h.is_square():
+        raise ValueError("HDLR1 holds square HODLR matrices only")
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(_U32.pack(VERSION))

@@ -38,18 +38,20 @@ def spd_hodlr_pair(n, n_min, seed=0):
     return h, to_dense(h), tree
 
 
-def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False):
+def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False, tree_cols=None):
     """HODLR matrix on ``tree`` whose off-diagonal blocks take a rank from
     ``ranks``; with ``zero_blocks`` about half of them hold zeros in a
     nonzero rank.  ``upper`` gives an upper triangular matrix (rank-0
-    a21 blocks) whose leaves have a dominant diagonal."""
+    a21 blocks) whose leaves have a dominant diagonal.  ``tree_cols``
+    splits the columns (default: ``tree``)."""
+    cols = tree if tree_cols is None else tree_cols
     if tree.level == 0:
-        d = rng.standard_normal((tree.n, tree.n))
+        d = rng.standard_normal((tree.n, cols.n))
         if upper:
             signs = rng.choice([-1.0, 1.0], tree.n)
             d = np.triu(d) / tree.n + np.diag(signs * rng.uniform(1.0, 2.0, tree.n))
         return HodlrMatrix(dense=d)
-    t1, t2 = tree.split()
+    (t1, t2), (c1, c2) = tree.split(), cols.split()
 
     def block(n_rows, n_cols):
         k = int(rng.choice(ranks))
@@ -57,10 +59,10 @@ def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False):
         return LowRankBlock(scale * rng.standard_normal((n_rows, k)),
                             rng.standard_normal((k, n_cols)) / np.sqrt(n_cols))
 
-    a11 = random_hodlr(rng, t1, ranks, zero_blocks, upper)
-    a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper)
-    a21 = LowRankBlock.zero(t2.n, t1.n) if upper else block(t2.n, t1.n)
-    return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, t2.n), a21=a21)
+    a11 = random_hodlr(rng, t1, ranks, zero_blocks, upper, c1)
+    a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper, c2)
+    a21 = LowRankBlock.zero(t2.n, c1.n) if upper else block(t2.n, c1.n)
+    return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, c2.n), a21=a21)
 
 
 @pytest.fixture

@@ -206,13 +206,14 @@ def test_criterion_9_rectangular_prototype():
     norm = spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, n,
                                   max_iter=200, tol=1e-6)
     f = rect_qr_prototype(a, tr, tc, 1e-10)
-    y = f.y.to_dense()
+    y = to_dense(f.y)
     q = np.eye(m) - y @ to_dense(f.t) @ y.T
     resid_orth = q.T @ q - np.eye(m)
     e_orth = spectral_norm_estimate(lambda x: resid_orth @ x,
                                     lambda x: resid_orth @ x, m,
                                     max_iter=300, tol=1e-6)
-    r = f.r.to_dense()
+    r = np.zeros((m, n))
+    r[f.perm[:n]] = to_dense(f.r)
     resid_acc = q @ r - a
     e_acc = spectral_norm_estimate(lambda x: resid_acc @ x,
                                    lambda x: resid_acc.T @ x, n,

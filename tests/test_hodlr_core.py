@@ -10,6 +10,7 @@ from hodlrqr import (
     FormatError,
     HodlrMatrix,
     LowRankBlock,
+    PartitionTree,
     TruncationControl,
     build_partition,
     from_dense,
@@ -25,7 +26,7 @@ from hodlrqr import (
 )
 from hodlrqr.core import UPPER_TRIANGULAR, truncate_shared, validate_structure
 
-from conftest import random_hodlr_pair
+from conftest import random_hodlr, random_hodlr_pair
 
 
 def test_build_partition_default_block_size():
@@ -376,6 +377,17 @@ def test_write_read_round_trip(tmp_path, rng):
         compare(x.a22, y.a22)
 
     compare(h, back)
+
+
+@pytest.mark.parametrize("rows, cols", [((9, 5), (4, 5)), ((6, 4), (4, 6))])
+def test_write_rejects_non_square_leaves(tmp_path, rows, cols):
+    # read_hodlr refuses non-square leaves, so they are not written
+    h = random_hodlr(np.random.default_rng(46), PartitionTree(1, rows),
+                     tree_cols=PartitionTree(1, cols))
+    path = tmp_path / "m.hdlr1"
+    with pytest.raises(ValueError, match="square"):
+        write_hodlr(h, path)
+    assert not path.exists()
 
 
 def test_read_truncated_file_raises_corruption(tmp_path, rng):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hodlrqr import (
     HodlrMatrix,
     LowRankBlock,
+    PartitionTree,
     StructuredColumn,
     TruncationControl,
     apply_q,
@@ -279,6 +280,17 @@ def test_hqr_rejects_nan_in_low_rank_factor():
     h.a11.a21.R[0, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         hqr(h, 1e-12)
+
+
+# a rectangular matrix, and one with as many rows as columns but
+# non-square leaves
+@pytest.mark.parametrize("rows, cols", [((9, 5), (4, 5)), ((6, 4), (4, 6))])
+@pytest.mark.parametrize("absolute", [False, True])
+def test_hqr_rejects_non_square_leaves(rows, cols, absolute):
+    h = random_hodlr(np.random.default_rng(45), PartitionTree(1, rows),
+                     tree_cols=PartitionTree(1, cols))
+    with pytest.raises(ValueError, match="square"):
+        hqr(h, 1e-12, absolute=absolute)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])

@@ -1,22 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from hodlrqr import rect_qr_prototype, stats, to_dense
+from hodlrqr import (
+    TruncationControl,
+    apply_dense,
+    from_dense,
+    rect_qr_prototype,
+    scale,
+    stats,
+    to_dense,
+)
 from hodlrqr.bench import gen_random_rect_dense
 from hodlrqr.core import PartitionTree
 
+from conftest import random_hodlr
+
 
 def reconstruct(f, m, n):
-    y = f.y.to_dense()
+    y = to_dense(f.y)
     q = np.eye(m) - y @ to_dense(f.t) @ y.T
-    return q, f.r.to_dense()
+    r = np.zeros((m, n))
+    r[f.perm[:n]] = to_dense(f.r)
+    return q, r
 
 
 def test_square_input_identity_permutation(rng):
     a, tr, tc = gen_random_rect_dense(128, 128, 32, seed=41)
     f = rect_qr_prototype(a, tr, tc, 1e-13)
     assert np.array_equal(f.perm, np.arange(128))
-    r = f.r.to_dense()
+    r = to_dense(f.r)
     assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
     q, r = reconstruct(f, 128, 128)
     assert np.linalg.norm(q @ r - a, 2) <= 1e-12 * np.linalg.norm(a, 2)
@@ -30,8 +44,8 @@ def test_rectangular_factorization(rng):
     norm = np.linalg.norm(a, 2)
     assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= 1e-12
     assert np.linalg.norm(q @ r - a, 2) <= 1e-11 * norm
-    # permuted R is exactly upper triangular; rows past the triangles only
-    # carry SVD roundoff from compressing the coupling blocks
+    # permuted R is exactly upper triangular; f.r is n x n, so the rows
+    # past the triangles are zero
     rp = r[f.perm][:n]
     assert np.array_equal(np.tril(rp, -1), np.zeros_like(rp))
     assert np.max(np.abs(r[f.perm][n:])) <= 1e-13 * norm
@@ -40,8 +54,8 @@ def test_rectangular_factorization(rng):
 def test_structured_factors_have_small_ranks(rng):
     a, tr, tc = gen_random_rect_dense(400, 200, 50, seed=43)
     f = rect_qr_prototype(a, tr, tc, 1e-11)
-    assert f.y.max_offdiag_rank() <= 12
-    assert f.r.max_offdiag_rank() <= 12
+    assert stats(f.y)["max_offdiag_rank"] <= 12
+    assert stats(f.r)["max_offdiag_rank"] <= 12
     assert stats(f.t)["max_offdiag_rank"] <= 16
 
 
@@ -59,3 +73,74 @@ def test_rejects_block_wider_than_tall():
     a = np.random.default_rng(0).standard_normal((12, 12))
     with pytest.raises(ValueError):
         rect_qr_prototype(a, rows, cols, 1e-12)
+
+
+def test_rectangular_hodlr_products_and_dense_round_trip(rng):
+    rows, cols = PartitionTree(2, (9, 5, 7, 6)), PartitionTree(2, (4, 5, 3, 6))
+    h = random_hodlr(rng, rows, zero_blocks=False, tree_cols=cols)
+    d = to_dense(h)
+    assert d.shape == (27, 18) and (h.n, h.n_cols) == (27, 18)
+    x, z = rng.standard_normal((18, 3)), rng.standard_normal(27)
+    assert np.allclose(apply_dense(h, x), d @ x, rtol=0, atol=1e-13)
+    assert np.allclose(apply_dense(h, z, trans=True), d.T @ z, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match="dimension mismatch: 18 vs 27"):
+        apply_dense(h, z)
+    with pytest.raises(ValueError, match="dimension mismatch: 27 vs 18"):
+        apply_dense(h, x, trans=True)
+    back = from_dense(d, rows, TruncationControl(0.0), cols)
+    assert back.same_structure(h) and not back.is_square()
+    assert np.max(np.abs(to_dense(back) - d)) <= 1e-13 * np.linalg.norm(d, 2)
+    with pytest.raises(ValueError, match="equal level"):
+        from_dense(d, rows, TruncationControl(0.0), PartitionTree(1, (9, 9)))
+    with pytest.raises(ValueError, match="does not match"):
+        from_dense(d.T, rows, TruncationControl(0.0), cols)
+    with pytest.raises(ValueError, match="square"):
+        from_dense(d, rows, TruncationControl(0.0))
+
+
+# c = 10 in the roundoff bound c n u, as for the square hqr property test:
+# Householder QR keeps ||Q^T Q - I|| and ||QR - A|| / ||A|| at O(n u)
+_C = 10.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(0, 3),
+       tall=st.sampled_from(["none", "some", "all"]), zero_blocks=st.booleans(),
+       alpha=st.sampled_from([1.0, 1e100, 1e-100]), eps=st.sampled_from([0.0, 1e-15]))
+@example(seed=0, level=0, tall="all", zero_blocks=False, alpha=1.0, eps=0.0)  # one leaf
+@example(seed=1, level=3, tall="some", zero_blocks=False, alpha=1e100, eps=0.0)
+@example(seed=2, level=3, tall="some", zero_blocks=False, alpha=1e-100, eps=0.0)
+@example(seed=3, level=2, tall="all", zero_blocks=True, alpha=1.0, eps=0.0)
+@example(seed=4, level=2, tall="none", zero_blocks=False, alpha=1.0, eps=0.0)
+def test_rect_qr_matches_dense_householder_qr(seed, level, tall, zero_blocks, alpha, eps):
+    # uneven leaves n_j in 1..12 with m_j = n_j (square), m_j > n_j (tall)
+    # or a mix; rank-0 blocks throughout with ``zero_blocks``.  eps is one
+    # absolute threshold for the blocks of A and for those of T, whose
+    # scale is 1, so a nonzero eps is drawn only for unscaled input
+    assume(alpha == 1.0 or eps == 0.0)
+    rng = np.random.default_rng(seed)
+    col_sizes = rng.integers(1, 13, 2 ** level)
+    extra = {"none": 0, "some": rng.integers(0, 2, 2 ** level), "all": 1}[tall]
+    row_sizes = col_sizes + extra * rng.integers(1, 13, 2 ** level)
+    rows = PartitionTree(level, tuple(int(s) for s in row_sizes))
+    cols = PartitionTree(level, tuple(int(s) for s in col_sizes))
+    h = random_hodlr(rng, rows, ranks=(0,) if zero_blocks else (0, 1, 2, 3),
+                     tree_cols=cols)
+    d = to_dense(scale(h, alpha))
+    m, n = d.shape
+    norm = np.linalg.norm(d, 2)
+    f = rect_qr_prototype(d, rows, cols, eps * norm)
+    y = to_dense(f.y)
+    q = np.eye(m) - y @ to_dense(f.t) @ y.T
+    r = to_dense(f.r)
+    r_full = np.zeros((m, n))
+    r_full[f.perm[:n]] = r
+    bound = _C * n * np.finfo(float).eps
+    assert np.array_equal(np.sort(f.perm), np.arange(m))
+    assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= bound
+    assert np.linalg.norm(q @ r_full - d, 2) <= bound * norm
+    # both are LAPACK geqrf reflectors; the last row's sign depends on
+    # whether its panel had rows below it
+    r_ref = np.linalg.qr(d[f.perm], mode="r")
+    r[-1], r_ref[-1] = np.abs(r[-1]), np.abs(r_ref[-1])
+    assert np.max(np.abs(r - r_ref)) <= bound * norm
