@@ -149,9 +149,12 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
             raise ValueError(f"leaf {m} x {a_tilde.n_cols} is wider than tall")
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
         wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
+        # the kept blocks are copies, so the factors do not hold on to the
+        # coupling rows y_c, which the parent copies into its own
         y_rows = wy.Y[m:]
-        return (StructuredY(HodlrMatrix(dense=wy.Y[:m]),
-                            LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal), y_rows[k_b:]),
+        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()),
+                            LowRankBlock(b.L, y_rows[:k_b].copy(), b.left_orthogonal),
+                            y_rows[k_b:]),
                 HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
 
     a11, a22 = a_tilde.a11, a_tilde.a22
@@ -193,7 +196,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
     y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=y12)
     y_rows = np.hstack([y1.y_c, y2.y_c])
-    return StructuredY(y_a, LowRankBlock(b.L, y_rows[:k_b], b.left_orthogonal),
+    return StructuredY(y_a, LowRankBlock(b.L, y_rows[:k_b].copy(), b.left_orthogonal),
                        y_rows[k_b:]), t, r
 
 

@@ -405,6 +405,33 @@ def test_hqr_builds_only_the_leaves_of_y_t_and_r(monkeypatch):
     assert len(leaves) == 3 * 2 ** a.level
 
 
+def _buffer_bytes(*hs):
+    # bytes of the distinct buffers behind the leaves and factors of hs
+    buffers = {}
+
+    def walk(h):
+        arrays = [h.dense] if h.is_leaf else [h.a12.L, h.a12.R, h.a21.L, h.a21.R]
+        for x in arrays:
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            buffers[id(x)] = x.nbytes
+        if not h.is_leaf:
+            walk(h.a11)
+            walk(h.a22)
+
+    for h in hs:
+        walk(h)
+    return sum(buffers.values())
+
+
+def test_hqr_factors_hold_only_their_own_entries():
+    # no leaf or factor of Y, T and R is a view that keeps the coupling
+    # rows of a recursion frame alive
+    f = hqr(gen_random_hodlr(2000, 250, 4, seed=0), 1e-10)
+    scalars = sum(stats(h)["memory_scalars"] for h in (f.y, f.t, f.r))
+    assert _buffer_bytes(f.y, f.t, f.r) == 8 * scalars
+
+
 def test_hqr_one_svd_per_truncation(monkeypatch):
     # per internal node: the A21 join (none on the left edge, where no
     # pending pair arrives), A12 and the A22 update truncated against one
