@@ -9,6 +9,7 @@ from .core import (
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
+    check_finite,
     sum_lowrank,
     truncate_lowrank,
 )
@@ -194,7 +195,7 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
         return HodlrMatrix(dense=_leaf_cholesky(h.dense, leaf_offset))
     r11 = _cholesky_rec(h.a11, tc, leaf_offset)
     # W = R11^{-T} @ A12, acting on the k columns of the left factor
-    lw = solve_upper_dense(r11, h.a12.L, trans=True)
+    lw = _solve_upper_rec(r11, h.a12.L, True)
     w = truncate_lowrank(LowRankBlock(lw, h.a12.R), tc)
     # Schur complement A22 - W^T W
     u = w.R.T @ (w.L.T @ w.L)
@@ -223,24 +224,30 @@ def _symmetric_update(h, u, v, tc) -> HodlrMatrix:
 def _leaf_solve_upper(r: np.ndarray, b: np.ndarray, trans: bool) -> np.ndarray:
     if np.any(np.diag(r) == 0.0):
         raise np.linalg.LinAlgError("singular leaf in triangular solve")
-    return scipy.linalg.solve_triangular(r, b, lower=False, trans="T" if trans else "N")
+    return scipy.linalg.solve_triangular(r, b, trans="T" if trans else "N", check_finite=False)
 
 
 def solve_upper_dense(r: HodlrMatrix, b: np.ndarray, trans: bool = False) -> np.ndarray:
     """Solve R x = b, or R.T x = b with ``trans``, for upper triangular
-    HODLR R and dense b, by back (forward) substitution on the blocks."""
+    HODLR R and dense b, by back (forward) substitution on the blocks.
+    An inf or nan entry in R or b raises ValueError before any solve."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != r.n:
         raise ValueError(f"dimension mismatch: {r.n} vs {b.shape[0]}")
+    check_finite("solve_upper_dense", r, b)
+    return _solve_upper_rec(r, b, trans)
+
+
+def _solve_upper_rec(r: HodlrMatrix, b: np.ndarray, trans: bool) -> np.ndarray:
     if r.is_leaf:
         return _leaf_solve_upper(r.dense, b, trans)
     m1 = r.a11.n
     if trans:
-        x1 = solve_upper_dense(r.a11, b[:m1], True)
-        x2 = solve_upper_dense(r.a22, b[m1:] - r.a12.R.T @ (r.a12.L.T @ x1), True)
+        x1 = _solve_upper_rec(r.a11, b[:m1], True)
+        x2 = _solve_upper_rec(r.a22, b[m1:] - r.a12.R.T @ (r.a12.L.T @ x1), True)
     else:
-        x2 = solve_upper_dense(r.a22, b[m1:])
-        x1 = solve_upper_dense(r.a11, b[:m1] - r.a12.L @ (r.a12.R @ x2))
+        x2 = _solve_upper_rec(r.a22, b[m1:], False)
+        x1 = _solve_upper_rec(r.a11, b[:m1] - r.a12.L @ (r.a12.R @ x2), False)
     return np.concatenate([x1, x2], axis=0)
 
 
@@ -254,8 +261,10 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
     left edge, where it is empty) and to the leaves densely: at most
     2 (2^level - 1) - level truncations.  The right factors of X21 and X12
     ride down as dense rows, so each leaf of R takes one triangular solve.
+    An inf or nan entry in B or R raises ValueError before any solve.
     """
     _check_same_tree(b, r, "solve_upper_triangular_right")
+    check_finite("solve_upper_triangular_right", b, r)
     empty = np.zeros((b.n, 0))
     return _solve_right_rec(b, r, empty, empty, np.zeros((0, b.n)), tc)[0]
 

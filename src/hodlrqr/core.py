@@ -252,12 +252,16 @@ def truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[Low
     Costs O((n_rows + n_cols) * k^2) per block and returns left-orthogonal
     blocks, each within tc.eps of its L @ right in the 2-norm.
     """
+    return _truncate_shared([np.linalg.qr(L, mode="reduced") for L in lefts], right, tc)
+
+
+def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
+    # truncate_shared with each L given as (Q, C), L = Q C, Q orthonormal
     if right.shape[0] == 0:
-        return [LowRankBlock(L, right, True) for L in lefts]
+        return [LowRankBlock(q1 @ r1, right, True) for q1, r1 in lefts]
     q2, r2 = np.linalg.qr(right.T, mode="reduced")
     out = []
-    for L in lefts:
-        q1, r1 = np.linalg.qr(L, mode="reduced")
+    for q1, r1 in lefts:
         core = svd(r1 @ r2.T)
         k = truncation_rank(core.sigma, tc.eps)
         out.append(LowRankBlock(q1 @ core.U[:, :k],
@@ -299,12 +303,15 @@ def stats(h: HodlrMatrix) -> dict:
     return {"max_offdiag_rank": max_rank, "memory_scalars": memory}
 
 
-def all_finite(h: HodlrMatrix) -> bool:
-    """True when every stored leaf entry and low-rank factor entry is finite."""
-    if h.is_leaf:
-        return bool(np.isfinite(h.dense).all())
-    return (all(np.isfinite(b.L).all() and np.isfinite(b.R).all() for b in (h.a12, h.a21))
-            and all_finite(h.a11) and all_finite(h.a22))
+def check_finite(what: str, *operands) -> None:
+    """Raise ValueError naming ``what`` if an operand, a dense array or a HODLR
+    matrix (its leaves and low-rank factors), has an inf or nan entry."""
+    for x in operands:
+        if isinstance(x, HodlrMatrix):
+            check_finite(what, *([x.dense] if x.is_leaf else
+                                 [x.a12.L, x.a12.R, x.a21.L, x.a21.R, x.a11, x.a22]))
+        elif not np.isfinite(x).all():
+            raise ValueError(f"{what} input has non-finite entries (inf or nan)")
 
 
 def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:

@@ -17,11 +17,11 @@ from .core import (
     HodlrMatrix,
     LowRankBlock,
     TruncationControl,
-    all_finite,
+    check_finite,
     hodlr_identity,
     left_orthogonalize,
     sum_lowrank,
-    truncate_shared,
+    _truncate_shared,
 )
 from .arith import (
     add,
@@ -98,8 +98,7 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     if not a.is_square():
         raise ValueError("hqr requires a square HODLR matrix; "
                          "rect_qr_prototype factors rectangular ones")
-    if not all_finite(a):
-        raise ValueError("hqr input has non-finite entries (inf or nan)")
+    check_finite("hqr", a)
     eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)
     y, t, r = hqr_rec(StructuredColumn.whole_matrix(a), eps_abs, eps)
     return HodlrQRFactors(y=y.y_a, t=t, r=r)
@@ -132,10 +131,10 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     """hqr_rec on the column [A_tilde + u v^T; B; C].
 
     The update -Y21 S of A22 travels down as one pending pair (u, v),
-    truncated once per node at eps_abs: the leaves add it densely before
-    their QR, each A21 joins it in the truncated sum that becomes the
-    child's B, and each A12 takes it as extra columns.  No A22 subtree is
-    copied before it is factored.
+    truncated at eps_abs except above a leaf: the leaves add it densely
+    before their QR, each A21 joins it in the truncated sum that becomes
+    the child's B, and each A12 takes it as extra columns.  No A22 subtree
+    is copied, and no block of Y, T or R is a view of the coupling rows.
     """
     b = left_orthogonalize(col.b)
     a_tilde = col.a_tilde
@@ -149,12 +148,8 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
             raise ValueError(f"leaf {m} x {a_tilde.n_cols} is wider than tall")
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
         wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
-        # the kept blocks are copies, so the factors do not hold on to the
-        # coupling rows y_c, which the parent copies into its own
-        y_rows = wy.Y[m:]
-        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()),
-                            LowRankBlock(b.L, y_rows[:k_b].copy(), b.left_orthogonal),
-                            y_rows[k_b:]),
+        y_b = LowRankBlock(b.L, wy.Y[m:m + k_b].copy(), b.left_orthogonal)
+        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()), y_b, wy.Y[m + k_b:]),
                 HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
 
     a11, a22 = a_tilde.a11, a_tilde.a22
@@ -203,11 +198,11 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
 def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     # Subtract Y1 S, S = T1^T Y1^T [A12 + u1 v2^T; A22 + u2 v2^T; rows2],
     # from the second block column: returns the updated A12, the A22 update
-    # joined to (u2, v2) as one truncated pending pair, and the updated rows.
-    # S is kept exact as G M, M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T;
-    # rows2] the joined right factor of its three terms, so both truncated
-    # blocks have M as right factor and one QR of M^T serves them both.
-    # The temporaries of this frame are freed before A22 is factored.
+    # joined to (u2, v2) as one pending pair, and the updated rows.  S is
+    # kept exact as G M, M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T;
+    # rows2] the joined right factor of its three terms, so A12 and the
+    # pending pair are truncated against M with one QR of M^T; above a leaf
+    # the pending pair stays exact.  Only the three results outlive the call.
     m1, n1 = a_tilde.a11.n, a_tilde.a11.n_cols
     u1, u2, v2 = u[:m1], u[m1:], v[n1:]
     y11, y21 = y1.y_a, y1.y_b
@@ -219,10 +214,20 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
                                    y1.y_c.T]), trans=True)
     a12_l_upd = -apply_dense(y11, g)
     a12_l_upd[:, :k_a12] += a12_l
-    pending_l = -y21.L @ (y21.R @ g)
-    pending_l[:, k_a:k_a12] += u2
-    a12_upd, pending = truncate_shared([a12_l_upd, pending_l], m, tc)
-    return a12_upd, pending, rows[:, n1:] - (y1.y_c @ g) @ m
+    rows2 = rows[:, n1:] - (y1.y_c @ g) @ m
+    # the pending left factor -Y21.L (Y21.R G), plus u2 on columns k_a:k_a12,
+    # is [Y21.L, Q_w] C for u2 = Y21.L P + Q_w R_w (block Gram-Schmidt twice
+    # against the orthonormal Y21.L), so only the k_u columns of u2 take a QR
+    p = y21.L.T @ u2
+    w = u2 - y21.L @ p
+    p2 = y21.L.T @ w
+    q_w, r_w = np.linalg.qr(w - y21.L @ p2, mode="reduced")
+    c = np.vstack([-(y21.R @ g), np.zeros((q_w.shape[1], m.shape[0]))])
+    c[:, k_a:k_a12] += np.vstack([p + p2, r_w])
+    a12_qr, basis = np.linalg.qr(a12_l_upd, mode="reduced"), np.hstack([y21.L, q_w])
+    if a_tilde.a22.is_leaf:  # the leaf adds the pending pair densely, untruncated
+        return _truncate_shared([a12_qr], m, tc)[0], LowRankBlock(basis @ c, m), rows2
+    return (*_truncate_shared([a12_qr, (basis, c)], m, tc), rows2)
 
 
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:

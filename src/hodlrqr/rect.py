@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HodlrMatrix, PartitionTree, TruncationControl, from_dense
+from .dense import spectral_norm_estimate
 from .hqr import StructuredColumn, hqr_rec, triangle_rows
 
 
@@ -31,8 +32,8 @@ def rect_qr_prototype(a: np.ndarray, tree_rows: PartitionTree,
                       tree_cols: PartitionTree, eps: float) -> RectQRFactors:
     """Permuted QR decomposition of a dense rectangular matrix compressed at
     the absolute tolerance eps over the given row and column trees, which
-    must have equal level and leaves no wider than tall; eps is also the
-    absolute threshold of every truncation in ``hqr_rec``."""
+    must have equal level and leaves no wider than tall; ``hqr_rec`` truncates
+    its sums at eps and the coupling blocks of T at eps / ||A||_2 (estimated)."""
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     if m < n:
@@ -41,7 +42,8 @@ def rect_qr_prototype(a: np.ndarray, tree_rows: PartitionTree,
         if mj < nj:
             raise ValueError(f"diagonal block {mj}x{nj} is wider than tall")
     h = from_dense(a, tree_rows, TruncationControl(eps), tree_cols)
-    y, t, r = hqr_rec(StructuredColumn.whole_matrix(h), eps, eps)
+    norm = spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, n)
+    y, t, r = hqr_rec(StructuredColumn.whole_matrix(h), eps, eps / norm if norm > 0 else 0.0)
     tri = triangle_rows(h)
     return RectQRFactors(y=y.y_a, t=t, r=r,
                          perm=np.concatenate([tri, np.setdiff1d(np.arange(m), tri)]))

@@ -34,12 +34,11 @@ def block_qr(a: np.ndarray) -> tuple[DenseWY, np.ndarray]:
     if m < n or n < 1:
         raise ValueError(f"block_qr requires rows >= cols >= 1, got {a.shape}")
     h, tau = np.linalg.qr(a, mode="raw")
-    del a  # the input and the raw buffer are dropped before T is formed
     h = h.T  # raw mode returns the LAPACK output transposed
     Y = np.tril(h, -1)
     np.fill_diagonal(Y, 1.0)
     r = np.triu(h[:n])
-    del h
+    del a, h  # the input and the raw buffer are not kept while T is formed
     gram = Y.T @ Y
     T = np.zeros((n, n))
     for j in range(n):

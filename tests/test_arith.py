@@ -446,3 +446,30 @@ def test_gram_mirrors_the_upper_blocks_of_multiply(monkeypatch, n_min):
         assert_mirrored(node.a22)
 
     assert_mirrored(g)
+
+
+class _NoScipy:
+    def __getattr__(self, name):
+        raise AssertionError(f"a solve reached scipy.{name}")
+
+
+@pytest.mark.parametrize("where", ["leaf", "factor", "b"])
+@pytest.mark.parametrize("trans", [False, True])
+def test_solvers_reject_non_finite_input_before_any_solve(monkeypatch, where, trans):
+    # the leaf solves skip scipy's own finiteness scan; the public solvers
+    # check once, up front, with the library's ValueError
+    tree = build_partition(96, 12)
+    r = random_hodlr(np.random.default_rng(50), tree, ranks=(2,), zero_blocks=False, upper=True)
+    b = np.ones((96, 3))
+    if where == "leaf":
+        r.a22.a22.a11.dense[1, 2] = np.nan
+    elif where == "factor":
+        r.a11.a12.R[1, 0] = np.inf
+    else:
+        b[40, 1] = np.nan
+    monkeypatch.setattr(arith, "scipy", _NoScipy())
+    with pytest.raises(ValueError, match="solve_upper_dense input has non-finite"):
+        solve_upper_dense(r, b, trans=trans)
+    if where != "b":
+        with pytest.raises(ValueError, match="triangular_right input has non-finite"):
+            solve_upper_triangular_right(hodlr_identity(tree), r, TruncationControl(0.0))

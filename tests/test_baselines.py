@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,16 @@ def test_cholqr2_near_noop_on_orthogonal_input():
     tree = build_partition(48, 12)
     q, r = cholqr2(hodlr_identity(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48), atol=1e-10)
+
+
+@pytest.mark.parametrize("method", [cholqr, cholqr2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholqr_rejects_non_finite_input_before_any_work(monkeypatch, method, bad):
+    def no_gram(*args):
+        raise AssertionError("gram formed before the finiteness check")
+
+    monkeypatch.setattr(importlib.import_module("hodlrqr.baselines"), "gram", no_gram)
+    a, _, _ = random_hodlr_pair(128, 32, rank=2, seed=51)
+    a.a22.a21.L[5, 1] = bad
+    with pytest.raises(ValueError, match="cholqr input has non-finite"):
+        method(a, TruncationControl(1e-12))

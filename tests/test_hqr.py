@@ -28,8 +28,9 @@ from hodlrqr import (
 )
 from hodlrqr import core
 from hodlrqr.arith import apply_dense
-from hodlrqr.bench import gen_random_hodlr
+from hodlrqr.bench import gen_matrix, gen_random_hodlr
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
+from hodlrqr.dense import truncation_rank
 
 from conftest import random_hodlr, random_hodlr_pair
 
@@ -435,8 +436,9 @@ def test_hqr_factors_hold_only_their_own_entries():
 def test_hqr_one_svd_per_truncation(monkeypatch):
     # per internal node: the A21 join (none on the left edge, where no
     # pending pair arrives), A12 and the A22 update truncated against one
-    # shared right factor, and the T coupling block; truncating S as well
-    # made 5 (2^L - 1) - L
+    # shared right factor (A12 alone above a leaf, which adds the pending
+    # pair densely), and the T coupling block; truncating S as well made
+    # 5 (2^L - 1) - L, and the pending pair above each leaf 4 (2^L - 1) - L
     a = gen_random_hodlr(2000, 250, 4, seed=0)
     calls = []
     svd = core.svd
@@ -447,7 +449,38 @@ def test_hqr_one_svd_per_truncation(monkeypatch):
 
     monkeypatch.setattr(core, "svd", counted)
     hqr(a, 1e-10)
-    assert len(calls) == 4 * (2 ** a.level - 1) - a.level
+    assert len(calls) == 4 * (2 ** a.level - 1) - a.level - 2 ** (a.level - 1)
+
+
+def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
+    # the pending left factor -Y21.L (Y21.R G) + u2 has as many columns as
+    # the shared right factor (K) but lies in the span of [Y21.L, u2]: it is
+    # truncated in a basis of k_y21 + k_u columns, and not at all above a
+    # leaf, which adds it densely
+    frames, bases = [], []
+    update, truncate = hqr_mod._update_second_column, hqr_mod._truncate_shared
+
+    def spy_update(a_tilde, u, v, rows, y1, t1, tc):
+        frames.append((y1.y_b.rank, u.shape[1], a_tilde.a22.is_leaf))
+        return update(a_tilde, u, v, rows, y1, t1, tc)
+
+    def spy_truncate(lefts, right, tc):
+        bases.append([q.shape[1] for q, _ in lefts[1:]] + [right.shape[0]])
+        return truncate(lefts, right, tc)
+
+    monkeypatch.setattr(hqr_mod, "_update_second_column", spy_update)
+    monkeypatch.setattr(hqr_mod, "_truncate_shared", spy_truncate)
+    a = gen_random_hodlr(4000, 250, 16, seed=3)
+    hqr(a, 1e-10)
+    assert len(frames) == len(bases) == 2 ** a.level - 1
+    assert sum(leaf for *_, leaf in frames) == 2 ** (a.level - 1)
+    assert any(k_u for _, k_u, leaf in frames if not leaf)
+    for (k_y, k_u, leaf), widths in zip(frames, bases):
+        if leaf:
+            assert len(widths) == 1  # A12 alone
+        else:
+            width, k = widths
+            assert width == k_y + k_u < k
 
 
 def test_update_second_column_matches_dense_oracle():
@@ -484,3 +517,32 @@ def test_hqr_orthogonality_rank_16_seed_41():
     x = np.random.default_rng([41, 2]).standard_normal((8000, 16))
     e_orth = np.linalg.norm(apply_q_transpose(f, apply_q(f, x)) - x) / np.linalg.norm(x)
     assert e_orth <= 1e-11
+
+
+def _rank_pairs(h, d, threshold, out):
+    # (stored rank, threshold-rank of the same block of d) per block of h
+    if h.is_leaf:
+        return out
+    m1, n1 = h.a11.n, h.a11.n_cols
+    for blk, sub in ((h.a12, d[:m1, n1:]), (h.a21, d[m1:, :n1])):
+        out.append((blk.rank, truncation_rank(np.linalg.svd(sub, compute_uv=False), threshold)))
+    _rank_pairs(h.a11, d[:m1, :n1], threshold, out)
+    return _rank_pairs(h.a22, d[m1:, n1:], threshold, out)
+
+
+@pytest.mark.parametrize("kind, rank, slack", [("random", 1, 0), ("random", 16, 0),
+                                               ("cauchy:a3", 1, 1)])
+def test_hqr_ranks_are_those_of_the_dense_householder_factors(kind, rank, slack):
+    # every off-diagonal block of Y, T and R has the rank of the same block
+    # of the exact Householder factors at hqr's thresholds (eps ||A|| for
+    # R, eps for Y and T): the rank growth is the factorization's, not
+    # slack from the truncations
+    eps = 1e-10
+    a = gen_matrix(kind, 2000, 250, 0, offdiag_rank=rank)
+    d = to_dense(a)
+    f = hqr(a, eps)
+    wy, r = block_qr(d)
+    for h, exact, threshold in ((f.y, wy.Y, eps), (f.t, wy.T, eps),
+                                (f.r, r, eps * np.linalg.norm(d, 2))):
+        for stored, optimal in _rank_pairs(h, exact, threshold, []):
+            assert abs(stored - optimal) <= slack

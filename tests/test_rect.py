@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hodlrqr import (
@@ -59,6 +59,17 @@ def test_structured_factors_have_small_ranks(rng):
     assert stats(f.t)["max_offdiag_rank"] <= 16
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e100, 1e-100])
+def test_orthogonality_does_not_depend_on_the_scale_of_a(alpha):
+    # T is truncated at eps / ||A||, not at the eps that compresses A: at
+    # eps = 1e-12 ||A|| and ||A|| ~ 1e102 the absolute eps left e_orth at 2.6
+    a, tr, tc = gen_random_rect_dense(400, 200, 50, 1, seed=43)
+    a = alpha * a
+    f = rect_qr_prototype(a, tr, tc, 1e-12 * np.linalg.norm(a, 2))
+    q, _ = reconstruct(f, 400, 200)
+    assert np.linalg.norm(q.T @ q - np.eye(400), 2) <= 1e-11
+
+
 def test_rejects_wide_and_mismatched():
     a, tr, tc = gen_random_rect_dense(64, 32, 8, seed=44)
     with pytest.raises(ValueError):
@@ -112,12 +123,12 @@ _C = 10.0
 @example(seed=2, level=3, tall="some", zero_blocks=False, alpha=1e-100, eps=0.0)
 @example(seed=3, level=2, tall="all", zero_blocks=True, alpha=1.0, eps=0.0)
 @example(seed=4, level=2, tall="none", zero_blocks=False, alpha=1.0, eps=0.0)
+@example(seed=5, level=3, tall="some", zero_blocks=False, alpha=1e100, eps=1e-15)
+@example(seed=6, level=3, tall="all", zero_blocks=False, alpha=1e-100, eps=1e-15)
 def test_rect_qr_matches_dense_householder_qr(seed, level, tall, zero_blocks, alpha, eps):
     # uneven leaves n_j in 1..12 with m_j = n_j (square), m_j > n_j (tall)
-    # or a mix; rank-0 blocks throughout with ``zero_blocks``.  eps is one
-    # absolute threshold for the blocks of A and for those of T, whose
-    # scale is 1, so a nonzero eps is drawn only for unscaled input
-    assume(alpha == 1.0 or eps == 0.0)
+    # or a mix; rank-0 blocks throughout with ``zero_blocks``; eps is
+    # relative to ||A|| for every scaling
     rng = np.random.default_rng(seed)
     col_sizes = rng.integers(1, 13, 2 ** level)
     extra = {"none": 0, "some": rng.integers(0, 2, 2 ** level), "all": 1}[tall]
