@@ -46,9 +46,9 @@ from .hqr import (
     hqr,
     hqr_rec,
     q_to_hodlr,
+    triangle_rows,
 )
 from .io import CorruptionError, FormatError, read_hodlr, write_hodlr
-from .rect import RectQRFactors, rect_qr_prototype
 from .wy import DenseWY, block_qr
 
 __version__ = "0.1.0"
@@ -56,13 +56,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CholeskyBreakdownError", "CorruptionError", "DenseWY", "FormatError",
     "HodlrMatrix", "HodlrQRFactors", "LowRankBlock", "PartitionTree",
-    "RectQRFactors", "StructuredColumn", "StructuredY",
+    "StructuredColumn", "StructuredY",
     "SvdResult", "TruncationControl", "add", "apply_dense", "apply_q",
     "apply_q_transpose", "block_qr", "build_partition", "cholesky", "cholqr",
     "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm", "hqr",
     "hqr_rec", "left_orthogonalize", "multiply", "q_to_hodlr", "read_hodlr",
-    "rect_qr_prototype", "scale",
-    "solve_upper_triangular_right", "spectral_norm_estimate", "stats",
-    "sum_lowrank", "svd", "to_dense", "transpose", "truncate_lowrank",
-    "truncation_rank", "write_hodlr",
+    "scale", "solve_upper_triangular_right", "spectral_norm_estimate", "stats",
+    "sum_lowrank", "svd", "to_dense", "transpose", "triangle_rows",
+    "truncate_lowrank", "truncation_rank", "write_hodlr",
 ]

@@ -296,4 +296,4 @@ def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -
     """Block power-iteration estimate of ||H||_2 through HODLR block products."""
     return spectral_norm_estimate(
         lambda x: apply_dense(h, x), lambda x: apply_dense(h, x, trans=True),
-        h.n, max_iter=max_iter, tol=tol)
+        h.n_cols, max_iter=max_iter, tol=tol)

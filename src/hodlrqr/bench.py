@@ -75,16 +75,14 @@ class BenchRecord:
     e_acc_bound: float = math.nan
 
     def to_csv_row(self) -> str:
-        def num(x):
+        # each field is named by the lower-case form of its CSV column
+        def cell(x):
+            if isinstance(x, (str, int)):
+                return str(x)
             x = float(x)
             return "nan" if math.isnan(x) else f"{x:.17g}"
 
-        cols = [self.method, str(self.n), str(self.seed), f"{self.eps:.17g}",
-                num(self.kappa2), num(self.e_orth), num(self.e_acc),
-                num(self.rank_y), num(self.rank_t), num(self.rank_q), num(self.rank_r),
-                num(self.mem_yt_rel), num(self.mem_q_rel), num(self.mem_r_rel),
-                num(self.time_s), str(self.failed)]
-        return ",".join(cols)
+        return ",".join(cell(getattr(self, col)) for col in CSV_HEADER.lower().split(","))
 
 
 def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,

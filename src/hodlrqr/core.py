@@ -115,9 +115,9 @@ class HodlrMatrix:
     low-rank off-diagonal blocks.
 
     ``n`` counts the rows and ``n_cols`` the columns.  Square matrices have
-    square leaves; a rectangular one (as ``rect_qr_prototype`` factors) has
-    leaves m_j x n_j, and its a12 is a11.n x a22.n_cols, its a21
-    a22.n x a11.n_cols.
+    square leaves; a rectangular one has leaves m_j x n_j, and its a12 is
+    a11.n x a22.n_cols, its a21 a22.n x a11.n_cols.  ``hqr`` factors any
+    HODLR matrix with m_j >= n_j, and its Y has A's shape and trees.
     """
 
     __slots__ = ("dense", "a11", "a22", "a12", "a21", "n", "n_cols")

@@ -38,7 +38,7 @@ from .wy import block_qr
 @dataclass
 class StructuredColumn:
     """Recursion input [a_tilde; b; c]: an m x n HODLR block with leaves
-    m_j x n_j, m_j >= n_j (square for ``hqr``), a factorized p x n
+    m_j x n_j, m_j >= n_j, a factorized p x n
     low-rank block and r2 x n dense coupling rows.  b and c may both be
     empty."""
 
@@ -74,7 +74,13 @@ class StructuredY:
 
 @dataclass
 class HodlrQRFactors:
-    """A ~= (I - Y T Y^T) R with all three factors sharing A's partition."""
+    """A ~= (I - Y T Y^T) P^T [R; 0] for an m x n HODLR matrix A.
+
+    Y is m x n over A's row and column trees, T and R are n x n upper
+    triangular over its column tree, and P moves the rows
+    ``triangle_rows(y)`` (the first n_j rows of every leaf j) to the top.
+    With square leaves P = I and A ~= (I - Y T Y^T) R.
+    """
 
     y: HodlrMatrix
     t: HodlrMatrix
@@ -82,25 +88,29 @@ class HodlrQRFactors:
 
 
 def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
-    """QR decomposition of a square HODLR matrix.
+    """QR decomposition of a HODLR matrix whose leaves are no wider than
+    tall (m_j >= n_j), square or rectangular.
 
-    By default ``eps`` is the relative truncation tolerance: intermediate
-    sums are truncated at eps * ||A||_2, the coupling blocks of T at the
-    plain eps.  ||A||_2 is one power-iteration estimate, stopped at the
-    first round that does not raise it; as a lower bound its error only
-    makes the truncation more conservative.  With
-    ``absolute`` the threshold eps is used as-is everywhere.  Input with an
-    inf or nan entry, or an eps that is not finite and >= 0, raises
-    ValueError, and so does a HODLR matrix with a non-square leaf
-    (``rect_qr_prototype`` factors those).
+    ||A||_2 is estimated once, by power iteration stopped at the first
+    round that does not raise it; as a lower bound its error only makes
+    the truncation more conservative.  By default ``eps`` is relative:
+    intermediate sums are truncated at eps * ||A||_2, the coupling blocks
+    of T, whose scale is 1, at the plain eps.  With ``absolute`` the sums
+    are truncated at eps and the coupling blocks of T at eps / ||A||_2
+    (0 when A is zero).  A leaf wider than tall, an inf or nan entry, or
+    an eps that is not finite and >= 0 raises ValueError before the norm
+    estimate.
     """
     check_tolerance(eps)
-    if not a.is_square():
-        raise ValueError("hqr requires a square HODLR matrix; "
-                         "rect_qr_prototype factors rectangular ones")
+    _check_leaves(a)
     check_finite("hqr", a)
-    eps_abs = eps if absolute else eps * hodlr_spectral_norm(a)
-    y, t, r = hqr_rec(StructuredColumn.whole_matrix(a), eps_abs, eps)
+    norm = hodlr_spectral_norm(a)
+    if absolute:
+        eps_abs, eps_plain = eps, eps / norm if norm > 0 else 0.0
+    else:
+        eps_abs, eps_plain = eps * norm, eps
+    y, t, r = _hqr_rec(StructuredColumn.whole_matrix(a), np.zeros((a.n, 0)),
+                       np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
     return HodlrQRFactors(y=y.y_a, t=t, r=r)
 
 
@@ -113,9 +123,20 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
     column tree.  With rectangular leaves the triangle of leaf j sits on
     its first n_j rows (see ``triangle_rows``): R holds those rows of the
     reduced column and every other row of A_tilde is reduced to zero.
+    A leaf wider than tall raises ValueError before any QR.
     """
     a = col.a_tilde
+    _check_leaves(a)
     return _hqr_rec(col, np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
+
+
+def _check_leaves(h: HodlrMatrix) -> None:
+    if h.is_leaf:
+        if h.n < h.n_cols:
+            raise ValueError(f"leaf {h.n} x {h.n_cols} is wider than tall")
+    else:
+        _check_leaves(h.a11)
+        _check_leaves(h.a22)
 
 
 def triangle_rows(h: HodlrMatrix) -> np.ndarray:
@@ -144,8 +165,6 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     rows = np.vstack([b.R, col.c])
 
     if a_tilde.is_leaf:
-        if m < a_tilde.n_cols:
-            raise ValueError(f"leaf {m} x {a_tilde.n_cols} is wider than tall")
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
         wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
         y_b = LowRankBlock(b.L, wy.Y[m:m + k_b].copy(), b.left_orthogonal)
@@ -256,7 +275,8 @@ def q_to_hodlr(f: HodlrQRFactors, eps: float) -> HodlrMatrix:
     """Materialize Q = I - Y T Y^T as a HODLR matrix, recompressed at eps.
 
     Only needed for rank and memory comparisons; the WY pair (Y, T) is the
-    primary representation of Q.
+    primary representation of Q.  Square A only: for rectangular factors
+    ``multiply`` raises ValueError, as Y and T have different trees.
     """
     tc = TruncationControl(eps)
     yt = multiply(f.y, f.t, tc)

@@ -21,8 +21,8 @@ from hodlrqr import (
     from_dense,
     hodlr_spectral_norm,
     hqr,
-    rect_qr_prototype,
     to_dense,
+    triangle_rows,
     truncate_lowrank,
     truncation_rank,
 )
@@ -205,7 +205,7 @@ def test_criterion_9_rectangular_prototype():
     a, tr, tc = gen_random_rect_dense(m, n, 250, 1, seed=0)
     norm = spectral_norm_estimate(lambda x: a @ x, lambda x: a.T @ x, n,
                                   max_iter=200, tol=1e-6)
-    f = rect_qr_prototype(a, tr, tc, 1e-10)
+    f = hqr(from_dense(a, tr, TruncationControl(1e-10), tc), 1e-10, absolute=True)
     y = to_dense(f.y)
     q = np.eye(m) - y @ to_dense(f.t) @ y.T
     resid_orth = q.T @ q - np.eye(m)
@@ -213,15 +213,16 @@ def test_criterion_9_rectangular_prototype():
                                     lambda x: resid_orth @ x, m,
                                     max_iter=300, tol=1e-6)
     r = np.zeros((m, n))
-    r[f.perm[:n]] = to_dense(f.r)
+    tri = triangle_rows(f.y)
+    r[tri] = to_dense(f.r)
     resid_acc = q @ r - a
     e_acc = spectral_norm_estimate(lambda x: resid_acc @ x,
                                    lambda x: resid_acc.T @ x, n,
                                    max_iter=300, tol=1e-6)
-    rp = r[f.perm][:n]
+    rp = r[tri]
     upper = np.array_equal(np.tril(rp, -1), np.zeros_like(rp))
     ok = e_orth <= 1e-11 and e_acc / norm <= 1e-9 and upper
-    report(ok, "criterion 9 (rectangular prototype)",
+    report(ok, "criterion 9 (rectangular hqr)",
            f"e_orth={e_orth:.1e} <= 1e-11, e_acc/|A|={e_acc / norm:.1e} <= 1e-9, "
            f"permuted R upper triangular: {upper}")
 

@@ -23,7 +23,7 @@ from hodlrqr import (
 )
 from hodlrqr import arith, core
 from hodlrqr.arith import solve_upper_dense
-from hodlrqr.bench import gen_matrix, gen_random_hodlr
+from hodlrqr.bench import gen_matrix, gen_random_hodlr, gen_random_rect_dense
 from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
 
 from conftest import random_hodlr, random_hodlr_pair, spd_hodlr_pair
@@ -245,6 +245,15 @@ def test_hodlr_spectral_norm(rng):
     est = hodlr_spectral_norm(h)
     exact = np.linalg.norm(dense, 2)
     assert abs(est - exact) / exact <= 1e-2
+
+
+def test_hodlr_spectral_norm_of_rectangular_matrix():
+    # the power iteration starts on the n_cols columns; on rows it raised
+    # "dimension mismatch: 160 vs 300"
+    a, tr, tc = gen_random_rect_dense(300, 160, 40, seed=42)
+    h = from_dense(a, tr, TruncationControl(0.0), tc)
+    exact = np.linalg.norm(a, 2)
+    assert abs(hodlr_spectral_norm(h) - exact) / exact <= 1e-2
 
 
 @pytest.mark.parametrize("matrix,rank", [("cauchy:a3", 1), ("random", 16)])

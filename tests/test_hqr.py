@@ -25,6 +25,7 @@ from hodlrqr import (
     sum_lowrank,
     to_dense,
     transpose,
+    triangle_rows,
 )
 from hodlrqr import core
 from hodlrqr.arith import apply_dense
@@ -283,15 +284,38 @@ def test_hqr_rejects_nan_in_low_rank_factor():
         hqr(h, 1e-12)
 
 
-# a rectangular matrix, and one with as many rows as columns but
-# non-square leaves
+# a matrix with tall leaves, which hqr factors, and one with as many rows
+# as columns but a leaf wider than tall, which it rejects before any work
 @pytest.mark.parametrize("rows, cols", [((9, 5), (4, 5)), ((6, 4), (4, 6))])
 @pytest.mark.parametrize("absolute", [False, True])
-def test_hqr_rejects_non_square_leaves(rows, cols, absolute):
+def test_hqr_rejects_non_square_leaves(monkeypatch, rows, cols, absolute):
     h = random_hodlr(np.random.default_rng(45), PartitionTree(1, rows),
                      tree_cols=PartitionTree(1, cols))
-    with pytest.raises(ValueError, match="square"):
-        hqr(h, 1e-12, absolute=absolute)
+    if any(m < n for m, n in zip(rows, cols)):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("hqr estimated ||A|| before checking the leaves")
+
+        monkeypatch.setattr(hqr_mod, "hodlr_spectral_norm", no_norm)
+        with pytest.raises(ValueError, match="leaf 4 x 6 is wider than tall"):
+            hqr(h, 1e-12, absolute=absolute)
+        return
+    # checked against dense Householder QR as the rectangular property
+    # test does, with R on the rows triangle_rows(Y)
+    d = to_dense(h)
+    m, n = d.shape
+    f = hqr(h, 0.0, absolute=absolute)
+    q = dense_q(f)
+    tri = triangle_rows(f.y)
+    r_full = np.zeros((m, n))
+    r_full[tri] = to_dense(f.r)
+    bound = 10 * n * np.finfo(float).eps
+    norm = np.linalg.norm(d, 2)
+    assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= bound
+    assert np.linalg.norm(q @ r_full - d, 2) <= bound * norm
+    r, r_ref = to_dense(f.r), np.linalg.qr(
+        d[np.concatenate([tri, np.setdiff1d(np.arange(m), tri)])], mode="r")
+    r[-1], r_ref[-1] = np.abs(r[-1]), np.abs(r_ref[-1])
+    assert np.max(np.abs(r - r_ref)) <= bound * norm
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-12])

@@ -7,53 +7,68 @@ from hodlrqr import (
     TruncationControl,
     apply_dense,
     from_dense,
-    rect_qr_prototype,
+    hqr,
     scale,
     stats,
     to_dense,
+    triangle_rows,
 )
-from hodlrqr.bench import gen_random_rect_dense
+from hodlrqr.bench import gen_random_hodlr, gen_random_rect_dense
 from hodlrqr.core import PartitionTree
 
 from conftest import random_hodlr
 
 
-def reconstruct(f, m, n):
+def rect_qr(a, tree_rows, tree_cols, eps):
+    # a dense matrix compressed at the absolute eps and factored at it
+    h = from_dense(a, tree_rows, TruncationControl(eps), tree_cols)
+    return hqr(h, eps, absolute=True)
+
+
+def reconstruct(f):
+    # Q and the m x n matrix P^T [R; 0], R on the rows triangle_rows(Y)
     y = to_dense(f.y)
+    m, n = y.shape
     q = np.eye(m) - y @ to_dense(f.t) @ y.T
     r = np.zeros((m, n))
-    r[f.perm[:n]] = to_dense(f.r)
+    r[triangle_rows(f.y)] = to_dense(f.r)
     return q, r
+
+
+def row_perm(f):
+    # the rows holding R first, then the others in order
+    tri = triangle_rows(f.y)
+    return np.concatenate([tri, np.setdiff1d(np.arange(f.y.n), tri)])
 
 
 def test_square_input_identity_permutation(rng):
     a, tr, tc = gen_random_rect_dense(128, 128, 32, seed=41)
-    f = rect_qr_prototype(a, tr, tc, 1e-13)
-    assert np.array_equal(f.perm, np.arange(128))
+    f = rect_qr(a, tr, tc, 1e-13)
+    assert np.array_equal(triangle_rows(f.y), np.arange(128))
     r = to_dense(f.r)
     assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
-    q, r = reconstruct(f, 128, 128)
+    q, r = reconstruct(f)
     assert np.linalg.norm(q @ r - a, 2) <= 1e-12 * np.linalg.norm(a, 2)
 
 
 def test_rectangular_factorization(rng):
     m, n = 300, 160
     a, tr, tc = gen_random_rect_dense(m, n, 40, seed=42)
-    f = rect_qr_prototype(a, tr, tc, 1e-12)
-    q, r = reconstruct(f, m, n)
+    f = rect_qr(a, tr, tc, 1e-12)
+    q, r = reconstruct(f)
     norm = np.linalg.norm(a, 2)
     assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= 1e-12
     assert np.linalg.norm(q @ r - a, 2) <= 1e-11 * norm
     # permuted R is exactly upper triangular; f.r is n x n, so the rows
     # past the triangles are zero
-    rp = r[f.perm][:n]
-    assert np.array_equal(np.tril(rp, -1), np.zeros_like(rp))
-    assert np.max(np.abs(r[f.perm][n:])) <= 1e-13 * norm
+    rp = r[row_perm(f)]
+    assert np.array_equal(np.tril(rp[:n], -1), np.zeros((n, n)))
+    assert np.max(np.abs(rp[n:])) <= 1e-13 * norm
 
 
 def test_structured_factors_have_small_ranks(rng):
     a, tr, tc = gen_random_rect_dense(400, 200, 50, seed=43)
-    f = rect_qr_prototype(a, tr, tc, 1e-11)
+    f = rect_qr(a, tr, tc, 1e-11)
     assert stats(f.y)["max_offdiag_rank"] <= 12
     assert stats(f.r)["max_offdiag_rank"] <= 12
     assert stats(f.t)["max_offdiag_rank"] <= 16
@@ -61,29 +76,34 @@ def test_structured_factors_have_small_ranks(rng):
 
 @pytest.mark.parametrize("alpha", [1.0, 1e100, 1e-100])
 def test_orthogonality_does_not_depend_on_the_scale_of_a(alpha):
-    # T is truncated at eps / ||A||, not at the eps that compresses A: at
-    # eps = 1e-12 ||A|| and ||A|| ~ 1e102 the absolute eps left e_orth at 2.6
+    # with ``absolute`` T is truncated at eps / ||A||, not at the eps that
+    # truncates the sums: at eps = 1e-12 ||A|| and ||A|| ~ 1e102 the absolute
+    # eps left e_orth at 2.6 on the rectangular input and 37 on the square one
     a, tr, tc = gen_random_rect_dense(400, 200, 50, 1, seed=43)
     a = alpha * a
-    f = rect_qr_prototype(a, tr, tc, 1e-12 * np.linalg.norm(a, 2))
-    q, _ = reconstruct(f, 400, 200)
+    f = rect_qr(a, tr, tc, 1e-12 * np.linalg.norm(a, 2))
+    q, _ = reconstruct(f)
+    assert np.linalg.norm(q.T @ q - np.eye(400), 2) <= 1e-11
+    h = scale(gen_random_hodlr(400, 50, 2, seed=3), alpha)
+    f = hqr(h, 1e-12 * np.linalg.norm(to_dense(h), 2), absolute=True)
+    q, _ = reconstruct(f)
     assert np.linalg.norm(q.T @ q - np.eye(400), 2) <= 1e-11
 
 
 def test_rejects_wide_and_mismatched():
     a, tr, tc = gen_random_rect_dense(64, 32, 8, seed=44)
-    with pytest.raises(ValueError):
-        rect_qr_prototype(a.T, tc, tr, 1e-12)
-    with pytest.raises(ValueError):
-        rect_qr_prototype(a, tc, tc, 1e-12)  # wrong row tree
+    with pytest.raises(ValueError, match="wider than tall"):
+        rect_qr(a.T, tc, tr, 1e-12)
+    with pytest.raises(ValueError, match="does not match"):
+        rect_qr(a, tc, tc, 1e-12)  # wrong row tree
 
 
 def test_rejects_block_wider_than_tall():
     rows = PartitionTree(1, (6, 6))
     cols = PartitionTree(1, (8, 4))
     a = np.random.default_rng(0).standard_normal((12, 12))
-    with pytest.raises(ValueError):
-        rect_qr_prototype(a, rows, cols, 1e-12)
+    with pytest.raises(ValueError, match="leaf 6 x 8 is wider than tall"):
+        rect_qr(a, rows, cols, 1e-12)
 
 
 def test_rectangular_hodlr_products_and_dense_round_trip(rng):
@@ -140,18 +160,15 @@ def test_rect_qr_matches_dense_householder_qr(seed, level, tall, zero_blocks, al
     d = to_dense(scale(h, alpha))
     m, n = d.shape
     norm = np.linalg.norm(d, 2)
-    f = rect_qr_prototype(d, rows, cols, eps * norm)
-    y = to_dense(f.y)
-    q = np.eye(m) - y @ to_dense(f.t) @ y.T
+    f = rect_qr(d, rows, cols, eps * norm)
+    q, r_full = reconstruct(f)
     r = to_dense(f.r)
-    r_full = np.zeros((m, n))
-    r_full[f.perm[:n]] = r
     bound = _C * n * np.finfo(float).eps
-    assert np.array_equal(np.sort(f.perm), np.arange(m))
+    assert np.array_equal(np.unique(triangle_rows(f.y)), triangle_rows(f.y))
     assert np.linalg.norm(q.T @ q - np.eye(m), 2) <= bound
     assert np.linalg.norm(q @ r_full - d, 2) <= bound * norm
     # both are LAPACK geqrf reflectors; the last row's sign depends on
     # whether its panel had rows below it
-    r_ref = np.linalg.qr(d[f.perm], mode="r")
+    r_ref = np.linalg.qr(d[row_perm(f)], mode="r")
     r[-1], r_ref[-1] = np.abs(r[-1]), np.abs(r_ref[-1])
     assert np.max(np.abs(r - r_ref)) <= bound * norm
