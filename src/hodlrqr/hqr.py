@@ -168,7 +168,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
         wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
         y_b = LowRankBlock(b.L, wy.Y[m:m + k_b].copy(), b.left_orthogonal)
-        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()), y_b, wy.Y[m + k_b:]),
+        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()), y_b, wy.Y[m + k_b:].copy()),
                 HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
 
     a11, a22 = a_tilde.a11, a_tilde.a22
@@ -190,6 +190,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
         rest = np.setdiff1d(np.arange(m1), tri)
         b2 = LowRankBlock(a12_upd.L[rest], a12_upd.R)
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
+    del col, rows, a21  # not read below: they would stay alive through the second child
     y2, t2, r22 = _hqr_rec(StructuredColumn(a22, b2, rows2),
                            pending.L, pending.R.T, eps_abs, eps_plain)
 
@@ -209,9 +210,8 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
     y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=y12)
-    y_rows = np.hstack([y1.y_c, y2.y_c])
-    return StructuredY(y_a, LowRankBlock(b.L, y_rows[:k_b].copy(), b.left_orthogonal),
-                       y_rows[k_b:]), t, r
+    y_b = LowRankBlock(b.L, np.hstack([y1.y_c[:k_b], y2.y_c[:k_b]]), b.left_orthogonal)
+    return StructuredY(y_a, y_b, np.hstack([y1.y_c[k_b:], y2.y_c[k_b:]])), t, r
 
 
 def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
