@@ -16,10 +16,10 @@ from .bench import (
     tolerance_sweep,
     write_csv,
 )
-from .core import stats
+from .core import check_finite, stats
 from .dense import check_tolerance
 from .hqr import hqr
-from .io import read_hodlr, write_hodlr
+from .io import CorruptionError, FormatError, read_hodlr, write_hodlr
 
 
 def _arg_type(check):
@@ -123,13 +123,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qr(args) -> int:
-    a = read_hodlr(args.input)
-    if not args.estimate:
-        try:
+    try:  # an unusable input is refused before hqr runs and any factor file is written
+        a = read_hodlr(args.input)
+        check_finite("hodlrqr qr", a)
+        if not args.estimate:
             check_dense_size(a.n)
-        except ValueError as err:  # before hqr runs and any factor file is written
-            print(f"hodlrqr qr: {err}", file=sys.stderr)
-            return 2
+    except (OSError, FormatError, CorruptionError, ValueError) as err:
+        print(f"hodlrqr qr: {err}", file=sys.stderr)
+        return 2
     f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")

@@ -246,27 +246,32 @@ def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
 
 def truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
     """Recompress the blocks L @ right, L in lefts, that share one right
-    factor: one QR of right^T, then per block a QR of L and an SVD of the
-    small core, keeping the smallest rank with tail singular value <= tc.eps.
-
-    Costs O((n_rows + n_cols) * k^2) per block and returns left-orthogonal
-    blocks, each within tc.eps of its L @ right in the 2-norm.
+    factor: one QR of right^T = Q2 R2, then per block a QR of L = Q1 C and
+    an SVD of the core C R2^T = U S V^T, keeping the smallest rank k with
+    tail singular value <= tc.eps, in O((n_rows + n_cols) k^2).  Each block
+    becomes the left-orthogonal (Q1 U_k, S_k V_k^T Q2^T), within tc.eps of
+    L @ right in the 2-norm.  Q2 is formed here for the formatted arithmetic,
+    whose roundoff decides CholQR breakdowns; hqr's truncations form R2 only.
     """
-    return _truncate_shared([np.linalg.qr(L, mode="reduced") for L in lefts], right, tc)
+    lefts = [np.linalg.qr(L, mode="reduced") for L in lefts]
+    q2, r2 = np.linalg.qr(right.T, mode="reduced")
+    return [LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T, True)
+            for (q1, _), (u, s, v) in zip(lefts, _cores(lefts, r2, tc))]
 
 
 def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
-    # truncate_shared with each L given as (Q, C), L = Q C, Q orthonormal
-    if right.shape[0] == 0:
-        return [LowRankBlock(q1 @ r1, right, True) for q1, r1 in lefts]
-    q2, r2 = np.linalg.qr(right.T, mode="reduced")
-    out = []
-    for q1, r1 in lefts:
-        core = svd(r1 @ r2.T)
+    # truncate_shared on lefts (Q1, C), L = Q1 C, with R2 alone (geqrf, no orgqr):
+    # (U_k^T C) right, L right projected on Q1 U_k, is S_k V_k^T Q2^T; same ranks and bound
+    r2 = np.linalg.qr(right.T, mode="r")
+    return [LowRankBlock(q1 @ u, (u.T @ c) @ right, True)
+            for (q1, c), (u, _, _) in zip(lefts, _cores(lefts, r2, tc))]
+
+
+def _cores(lefts, r2: np.ndarray, tc: TruncationControl):
+    # U_k, S_k, V_k of each core C R2^T, (Q1, C) in lefts, truncated at tc
+    for core in (svd(c @ r2.T) for _, c in lefts):
         k = truncation_rank(core.sigma, tc.eps)
-        out.append(LowRankBlock(q1 @ core.U[:, :k],
-                                (core.sigma[:k, None] * core.V[:, :k].T) @ q2.T, True))
-    return out
+        yield core.U[:, :k], core.sigma[:k], core.V[:, :k]
 
 
 def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
@@ -276,11 +281,20 @@ def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
 
     A sum whose terms all have rank 0 returns the first term unchanged.
     """
+    return _joined_sum(blocks, lambda b: truncate_lowrank(b, tc))
+
+
+def _sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
+    # sum_lowrank through _truncate_shared: hqr's sums
+    return _joined_sum(blocks, lambda b: _truncate_shared([np.linalg.qr(b.L)], b.R, tc)[0])
+
+
+def _joined_sum(blocks, truncate) -> LowRankBlock:
     blocks = list(blocks)
     if all(b.rank == 0 for b in blocks):
         return blocks[0]
-    joined = LowRankBlock(np.hstack([b.L for b in blocks]), np.vstack([b.R for b in blocks]))
-    return truncate_lowrank(joined, tc)
+    return truncate(LowRankBlock(np.hstack([b.L for b in blocks]),
+                                 np.vstack([b.R for b in blocks])))
 
 
 def stats(h: HodlrMatrix) -> dict:

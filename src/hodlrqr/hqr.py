@@ -20,7 +20,7 @@ from .core import (
     check_finite,
     hodlr_identity,
     left_orthogonalize,
-    sum_lowrank,
+    _sum_lowrank,
     _truncate_shared,
 )
 from .arith import (
@@ -155,7 +155,9 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     truncated at eps_abs except above a leaf: the leaves add it densely
     before their QR, each A21 joins it in the truncated sum that becomes
     the child's B, and each A12 takes it as extra columns.  No A22 subtree
-    is copied, and no block of Y, T or R is a view of the coupling rows.
+    is copied.  A frame keeps alive only what later steps read: no block of
+    Y, T or R, nor its y_c, is a view of a larger array; its column, rows
+    [B_R; C] and A21 join go before the second child, the pending pair after.
     """
     b = left_orthogonalize(col.b)
     a_tilde = col.a_tilde
@@ -178,7 +180,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     # structure one level down
     a21 = a_tilde.a21
     if u.shape[1]:
-        a21 = sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
+        a21 = _sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
     y1, t1, r11 = _hqr_rec(StructuredColumn(a11, a21, rows[:, :n1]),
                            u[:m1], v[:n1], eps_abs, eps_plain)
     a12_upd, pending, rows2 = _update_second_column(a_tilde, u, v, rows, y1, t1, tc_abs)
@@ -193,6 +195,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
     del col, rows, a21  # not read below: they would stay alive through the second child
     y2, t2, r22 = _hqr_rec(StructuredColumn(a22, b2, rows2),
                            pending.L, pending.R.T, eps_abs, eps_plain)
+    del pending
 
     # coupling block of T, truncated at the plain tolerance
     y21, y12 = y1.y_b, LowRankBlock.zero(m1, a22.n_cols)
@@ -203,7 +206,7 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
         y12_l[rest] = y2.y_b.L
         y12 = LowRankBlock(y12_l, y2.y_b.R, y2.y_b.left_orthogonal)
         terms.append(LowRankBlock(apply_dense(y1.y_a, y12_l, trans=True), y12.R))
-    t_tilde12 = sum_lowrank(terms, TruncationControl(eps_plain))
+    t_tilde12 = _sum_lowrank(terms, TruncationControl(eps_plain))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
@@ -220,8 +223,8 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     # joined to (u2, v2) as one pending pair, and the updated rows.  S is
     # kept exact as G M, M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T;
     # rows2] the joined right factor of its three terms, so A12 and the
-    # pending pair are truncated against M with one QR of M^T; above a leaf
-    # the pending pair stays exact.  Only the three results outlive the call.
+    # pending pair are truncated against the R of one QR of M^T (its Q is not
+    # formed); above a leaf the pending pair stays exact.
     m1, n1 = a_tilde.a11.n, a_tilde.a11.n_cols
     u1, u2, v2 = u[:m1], u[m1:], v[n1:]
     y11, y21 = y1.y_a, y1.y_b
@@ -275,9 +278,11 @@ def q_to_hodlr(f: HodlrQRFactors, eps: float) -> HodlrMatrix:
     """Materialize Q = I - Y T Y^T as a HODLR matrix, recompressed at eps.
 
     Only needed for rank and memory comparisons; the WY pair (Y, T) is the
-    primary representation of Q.  Square A only: for rectangular factors
-    ``multiply`` raises ValueError, as Y and T have different trees.
+    primary representation of Q.  The factors of a rectangular A, whose Y
+    and T have different trees, raise ValueError before any product.
     """
+    if not f.y.is_square():
+        raise ValueError("q_to_hodlr requires the factors of a square matrix")
     tc = TruncationControl(eps)
     yt = multiply(f.y, f.t, tc)
     yty = multiply(yt, transpose(f.y), tc)

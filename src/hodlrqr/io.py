@@ -118,13 +118,10 @@ def _read_tree(r: _Reader, depth: int) -> HodlrMatrix:
     if tag == 0x02:
         if depth == 0:
             raise CorruptionError("tree is deeper than the declared level")
-        a11 = _read_tree(r, depth - 1)
-        a21 = _read_block(r)
-        a12 = _read_block(r)
-        a22 = _read_tree(r, depth - 1)
-        try:
-            return HodlrMatrix(a11=a11, a22=a22, a12=a12, a21=a21)
-        except ValueError as err:  # block shapes that do not fit the children
+        try:  # parts in file order; a block too big for any array or not fitting the children
+            return HodlrMatrix(a11=_read_tree(r, depth - 1), a21=_read_block(r),
+                               a12=_read_block(r), a22=_read_tree(r, depth - 1))
+        except ValueError as err:
             raise CorruptionError(str(err)) from None
     raise CorruptionError(f"unknown tree tag 0x{tag:02x}")
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hodlrqr import bench, cli, hqr, read_hodlr, stats, to_dense
+from hodlrqr import bench, cli, hqr, read_hodlr, stats, to_dense, write_hodlr
 from hodlrqr.bench import (
     BenchConfig,
     CSV_HEADER,
@@ -238,6 +238,35 @@ def test_cli_qr_refuses_dense_metrics_past_limit_before_work(tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "n = 128 exceeds the densification limit 64" in err and "--estimate" in err
+    assert not ran
+    assert not list(tmp_path.glob("fac*.hdlr1"))
+
+
+def _nan_leaf_file(path):
+    h = gen_random_hodlr(128, 32, 1, seed=5)
+    h.a11.a11.dense[3, 1] = np.nan
+    write_hodlr(h, path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: p.write_bytes(b"HDLR"), "file too short"),
+    (lambda p: p.write_bytes(b"NOPE" * 8), "bad magic"),
+    (lambda p: (main(["gen", "--n", "128", "--nmin", "32", "--out", str(p)]),
+                p.write_bytes(p.read_bytes()[:-9])), "checksum mismatch"),
+    (_nan_leaf_file, "non-finite"),
+    (lambda p: None, "No such file"),
+])
+def test_cli_qr_refuses_unusable_input_before_work(make, message, tmp_path, capsys,
+                                                    monkeypatch):
+    matrix_path = tmp_path / "a.hdlr1"
+    make(matrix_path)
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "hqr", lambda *args, **kwargs: ran.append(1))
+    rc = main(["qr", str(matrix_path), "--estimate", "--out-prefix", str(tmp_path / "fac")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hodlrqr qr: ") and message in err
     assert not ran
     assert not list(tmp_path.glob("fac*.hdlr1"))
 

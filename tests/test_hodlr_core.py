@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from hodlrqr import (
     CorruptionError,
@@ -24,7 +24,7 @@ from hodlrqr import (
     truncation_rank,
     write_hodlr,
 )
-from hodlrqr.core import UPPER_TRIANGULAR, truncate_shared, validate_structure
+from hodlrqr.core import UPPER_TRIANGULAR, _truncate_shared, truncate_shared, validate_structure
 
 from conftest import random_hodlr, random_hodlr_pair
 
@@ -234,6 +234,41 @@ def test_truncate_shared_matches_truncate_lowrank(n_rows, k, n_cols, eps, zero, 
         roundoff = 100 * np.finfo(float).eps * np.linalg.norm(L) * np.linalg.norm(right)
         assert np.linalg.norm(out.to_dense() - L @ right, 2) <= eps * (1 + 1e-9) + roundoff
         if zero == "right" or (zero == "left" and L is lefts[0]):
+            assert out.rank == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=3), st.integers(0, 15),
+       st.integers(1, 12), st.sampled_from([1e-12, 1e-6, 1e-2, 0.3]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example([3, 8], 15, 5, 1e-6, False, 0)  # wide right^T: K above n_cols
+@example([4, 2], 6, 7, 1e-2, True, 1)  # zero right factor
+@example([5], 0, 4, 1e-6, False, 2)  # K = 0
+def test_private_truncate_shared_takes_lefts_in_a_basis(ks, k, n_cols, rel_eps, zero, seed):
+    # the kernel of hqr takes each left factor as (Q, C), L = Q C, and forms
+    # only the R of right^T: its ranks are truncate_lowrank's on Q C, its left
+    # factors orthonormal and its error within eps
+    rng = np.random.default_rng(seed)
+    decay = np.logspace(0, -14, k)  # singular values on both sides of eps
+    lefts = [(np.linalg.qr(rng.standard_normal((k1 + 3, k1)))[0],
+              rng.standard_normal((k1, k)) * decay) for k1 in ks]
+    right = np.zeros((k, n_cols)) if zero else rng.standard_normal((k, n_cols))
+    exact = [q @ c @ right for q, c in lefts]
+    scale = max(np.linalg.norm(x, 2) for x in exact)
+    tc = TruncationControl(rel_eps * scale)
+    roundoff = 100 * np.finfo(float).eps * scale
+    for x in exact:  # a singular value within roundoff of eps may fall either way
+        sigma = np.linalg.svd(x, compute_uv=False)
+        assume(scale == 0 or np.all(np.abs(sigma - tc.eps) > 1e-3 * tc.eps + roundoff))
+    outs = _truncate_shared(lefts, right, tc)
+    assert len(outs) == len(lefts)
+    for (q, c), x, out in zip(lefts, exact, outs):
+        assert (out.n_rows, out.n_cols) == x.shape
+        assert out.rank == truncate_lowrank(LowRankBlock(q @ c, right), tc).rank
+        assert out.left_orthogonal
+        assert np.linalg.norm(out.L.T @ out.L - np.eye(out.rank), 2) <= 1e-13
+        assert np.linalg.norm(out.to_dense() - x, 2) <= tc.eps * (1 + 1e-9) + roundoff
+        if zero or k == 0:
             assert out.rank == 0
 
 
@@ -447,9 +482,46 @@ def _block(n_rows, n_cols):
     (0, [0], _leaf(0, 0), "positive"),
     (1, [1, 1], b"\x02" + _leaf(1, 1) + _block(2, 1) + _block(1, 1) + _leaf(1, 1),
      "block shapes"),
+    # an empty factor too big for any array: numpy raised ValueError
+    (1, [1, 1], b"\x02" + _leaf(1, 1) + _block(2 ** 60, 1) + _block(1, 1) + _leaf(1, 1),
+     "too big"),
 ])
 def test_read_crafted_file_raises_corruption(tmp_path, level, sizes, tree, match):
     path = tmp_path / "m.hdlr1"
     _write_crafted(path, level, sizes, tree)
     with pytest.raises(CorruptionError, match=match):
         read_hodlr(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["overwrite", "truncate", "insert"]),
+                          st.one_of(st.integers(0, 120), st.integers(0, 10 ** 6)),
+                          st.binary(min_size=1, max_size=9)), min_size=1, max_size=3))
+def test_read_fuzzed_file_raises_library_errors_or_reads(tmp_path_factory, edits):
+    # overwrites, truncations and insertions under a recomputed checksum, so
+    # only the reader's structure checks stand between the bytes and a matrix
+    h = random_hodlr(np.random.default_rng(47), PartitionTree(2, (2, 3, 3, 2)), ranks=(0, 1, 2))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.hdlr1"
+    write_hodlr(h, path)
+    data = bytearray(path.read_bytes()[:-4])
+    for kind, pos, chunk in edits:
+        pos %= len(data) + 1
+        if kind == "overwrite":
+            data[pos:pos + len(chunk)] = chunk
+        elif kind == "truncate":
+            del data[pos:]
+        else:
+            data[pos:pos] = chunk
+    path.write_bytes(bytes(data) + struct.pack("<I", zlib.crc32(data)))
+    try:
+        back = read_hodlr(path)
+    except (FormatError, CorruptionError) as err:
+        event(type(err).__name__)
+        return
+    event("read")
+    # what reads is a square HODLR matrix on a balanced tree, so it writes
+    # and reads back unchanged
+    write_hodlr(back, path)
+    again = read_hodlr(path)
+    assert again.same_structure(back) and again.leaf_sizes() == back.leaf_sizes()
+    assert np.array_equal(to_dense(again), to_dense(back), equal_nan=True)

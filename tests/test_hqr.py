@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from hodlrqr import (
 )
 from hodlrqr import core
 from hodlrqr.arith import apply_dense
-from hodlrqr.bench import gen_matrix, gen_random_hodlr
+from hodlrqr.bench import gen_matrix, gen_random_hodlr, gen_random_rect_dense
 from hodlrqr.core import UNIT_LOWER_TRIANGULAR, UPPER_TRIANGULAR, validate_structure
 from hodlrqr.dense import truncation_rank
 
@@ -337,6 +338,14 @@ class _NoScipy:
         raise AssertionError(f"hqr reached scipy.{name}")
 
 
+def test_q_to_hodlr_rejects_rectangular_factors(monkeypatch):
+    a, tree_rows, tree_cols = gen_random_rect_dense(300, 160, 40, seed=42)
+    f = hqr(from_dense(a, tree_rows, TruncationControl(1e-12), tree_cols), 1e-12, absolute=True)
+    monkeypatch.setattr(hqr_mod, "multiply", None)  # refused before any product
+    with pytest.raises(ValueError, match="q_to_hodlr requires the factors of a square"):
+        q_to_hodlr(f, 1e-12)
+
+
 def test_hqr_stays_off_scipy(monkeypatch):
     # scipy bundles a BLAS of its own; a call into it from hqr would run a
     # second thread pool beside numpy's
@@ -474,6 +483,43 @@ def test_hqr_one_svd_per_truncation(monkeypatch):
     monkeypatch.setattr(core, "svd", counted)
     hqr(a, 1e-10)
     assert len(calls) == 4 * (2 ** a.level - 1) - a.level - 2 ** (a.level - 1)
+
+
+def test_hqr_forms_no_q_of_a_right_factor(monkeypatch):
+    # every truncation of hqr takes only the R of its right factor's QR, one
+    # per call: the A21 join on each internal node off the left edge
+    # (2^L - 1 - L), the shared A12/pending truncation and the T coupling
+    # block on each of the 2^L - 1 internal nodes
+    a = gen_random_hodlr(2000, 250, 4, seed=0)
+    modes = []
+    qr = np.linalg.qr
+
+    def counted(x, mode="reduced"):
+        modes.append(mode)
+        return qr(x, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    hqr(a, 1e-10)
+    assert modes.count("r") == 3 * (2 ** a.level - 1) - a.level
+
+
+def test_hqr_peak_memory_is_its_factors_plus_one_frame():
+    # A frame drops its rows, A21 join and pending pair once they are dead,
+    # no y_c is a view of a leaf panel, and no Q of a right factor is formed,
+    # so beyond the factors only the step under way holds memory.  The peak
+    # comes late, with Y, T and R nearly complete: here in the QR of the last
+    # leaf, whose input, raw buffer, Y and R coexist just before its three
+    # leaves join the factors, 1.6 leaf blocks (250 x 250) above them.  With
+    # dead frame state and the Q of right factors the peak was 5.1 blocks up.
+    a = gen_random_hodlr(2000, 250, 16, seed=0)
+    tracemalloc.start()
+    try:
+        f = hqr(a, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scalars = sum(stats(h)["memory_scalars"] for h in (f.y, f.t, f.r))
+    assert peak <= 8 * scalars + 2.5 * 8 * 250 ** 2
 
 
 def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
