@@ -254,6 +254,8 @@ def truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[Low
     whose roundoff decides CholQR breakdowns; hqr's truncations form R2 only.
     """
     lefts = [np.linalg.qr(L, mode="reduced") for L in lefts]
+    if right.shape[0] == 0:
+        return [LowRankBlock(q1 @ c, right, True) for q1, c in lefts]
     q2, r2 = np.linalg.qr(right.T, mode="reduced")
     return [LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T, True)
             for (q1, _), (u, s, v) in zip(lefts, _cores(lefts, r2, tc))]
