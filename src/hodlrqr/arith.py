@@ -292,8 +292,7 @@ def _solve_right_rec(b, r, u, v, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
     return x, np.hstack([y1[:s], y2[:s]])
 
 
-def hodlr_spectral_norm(h: HodlrMatrix, max_iter: int = 50, tol: float = 1e-3) -> float:
+def hodlr_spectral_norm(h: HodlrMatrix) -> float:
     """Block power-iteration estimate of ||H||_2 through HODLR block products."""
     return spectral_norm_estimate(
-        lambda x: apply_dense(h, x), lambda x: apply_dense(h, x, trans=True),
-        h.n_cols, max_iter=max_iter, tol=tol)
+        lambda x: apply_dense(h, x), lambda x: apply_dense(h, x, trans=True), h.n_cols)

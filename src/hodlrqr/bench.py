@@ -98,20 +98,6 @@ def gen_random_hodlr(n: int, n_min: int, offdiag_rank: int = 1,
     return _random_hodlr(tree, tree, offdiag_rank, seed)
 
 
-def gen_random_rect_dense(m: int, n: int, n_min: int = 250, offdiag_rank: int = 1,
-                          seed: int = 0):
-    """Random rectangular block matrix with the recipe of gen_random_hodlr,
-    as a dense array.  Returns (dense, tree_rows, tree_cols); the row tree
-    divides the m rows evenly at the level of the column tree.
-    """
-    tree_cols = build_partition(n, n_min)
-    leaves = 2 ** tree_cols.level
-    base, rem = divmod(m, leaves)
-    row_sizes = tuple(base + 1 if j < rem else base for j in range(leaves))
-    tree_rows = PartitionTree(tree_cols.level, row_sizes)
-    return to_dense(_random_hodlr(tree_rows, tree_cols, offdiag_rank, seed)), tree_rows, tree_cols
-
-
 def _random_hodlr(tree_rows, tree_cols, offdiag_rank, seed) -> HodlrMatrix:
     if offdiag_rank < 0:
         raise ValueError(f"offdiag_rank must be >= 0, got {offdiag_rank}")

@@ -8,9 +8,6 @@ import numpy as np
 
 from .dense import check_tolerance, svd, truncation_rank
 
-UPPER_TRIANGULAR = "upper_triangular"
-UNIT_LOWER_TRIANGULAR = "unit_lower_triangular"
-
 
 @dataclass(frozen=True)
 class PartitionTree:
@@ -240,30 +237,25 @@ def left_orthogonalize(b: LowRankBlock) -> LowRankBlock:
 
 
 def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
-    """Recompression operator: the one-block case of truncate_shared."""
-    return truncate_shared([b.L], b.R, tc)[0]
-
-
-def truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
-    """Recompress the blocks L @ right, L in lefts, that share one right
-    factor: one QR of right^T = Q2 R2, then per block a QR of L = Q1 C and
-    an SVD of the core C R2^T = U S V^T, keeping the smallest rank k with
-    tail singular value <= tc.eps, in O((n_rows + n_cols) k^2).  Each block
-    becomes the left-orthogonal (Q1 U_k, S_k V_k^T Q2^T), within tc.eps of
-    L @ right in the 2-norm.  Q2 is formed here for the formatted arithmetic,
+    """Recompression operator: QR factorizations L = Q1 C and R^T = Q2 R2,
+    then an SVD of the core C R2^T = U S V^T, keeping the smallest rank k
+    with tail singular value <= tc.eps, in O((n_rows + n_cols) k^2).  The
+    block becomes the left-orthogonal (Q1 U_k, S_k V_k^T Q2^T), within tc.eps of
+    L @ R in the 2-norm.  Q2 is formed here for the formatted arithmetic,
     whose roundoff decides CholQR breakdowns; hqr's truncations form R2 only.
     """
-    lefts = [np.linalg.qr(L, mode="reduced") for L in lefts]
-    if right.shape[0] == 0:
-        return [LowRankBlock(q1 @ c, right, True) for q1, c in lefts]
-    q2, r2 = np.linalg.qr(right.T, mode="reduced")
-    return [LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T, True)
-            for (q1, _), (u, s, v) in zip(lefts, _cores(lefts, r2, tc))]
+    q1, c = np.linalg.qr(b.L, mode="reduced")
+    if b.R.shape[0] == 0:
+        return LowRankBlock(q1 @ c, b.R, True)
+    q2, r2 = np.linalg.qr(b.R.T, mode="reduced")
+    (u, s, v), = _cores([(q1, c)], r2, tc)
+    return LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T, True)
 
 
 def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
-    # truncate_shared on lefts (Q1, C), L = Q1 C, with R2 alone (geqrf, no orgqr):
-    # (U_k^T C) right, L right projected on Q1 U_k, is S_k V_k^T Q2^T; same ranks and bound
+    # truncate_lowrank of each L right, L = Q1 C given as (Q1, C) in lefts, with one
+    # QR of the shared right factor that forms R2 alone (geqrf, no orgqr): (U_k^T C)
+    # right, L right projected on Q1 U_k, is S_k V_k^T Q2^T; same ranks and bound
     r2 = np.linalg.qr(right.T, mode="r")
     return [LowRankBlock(q1 @ u, (u.T @ c) @ right, True)
             for (q1, c), (u, _, _) in zip(lefts, _cores(lefts, r2, tc))]
@@ -341,28 +333,3 @@ def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:
         a12=LowRankBlock.zero(t1.n, t2.n),
         a21=LowRankBlock.zero(t2.n, t1.n),
     )
-
-
-def validate_structure(h: HodlrMatrix, tag: str) -> None:
-    """Assert the structural invariants of ``tag`` on h and all its nodes.
-
-    UPPER_TRIANGULAR requires every a21 block to have rank 0 and every leaf
-    to be upper triangular; UNIT_LOWER_TRIANGULAR is the mirror image with
-    unit leaf diagonals.
-    """
-    if tag not in (UPPER_TRIANGULAR, UNIT_LOWER_TRIANGULAR):
-        raise ValueError(f"unknown structure tag {tag!r}")
-    if h.is_leaf:
-        d = h.dense
-        if tag == UPPER_TRIANGULAR and np.any(np.tril(d, -1) != 0):
-            raise AssertionError("upper_triangular leaf has nonzeros below diagonal")
-        if tag == UNIT_LOWER_TRIANGULAR:
-            if np.any(np.triu(d, 1) != 0) or np.any(np.diag(d) != 1.0):
-                raise AssertionError("unit_lower_triangular leaf malformed")
-        return
-    if tag == UPPER_TRIANGULAR and h.a21.rank != 0:
-        raise AssertionError("upper_triangular node has nonzero a21 rank")
-    if tag == UNIT_LOWER_TRIANGULAR and h.a12.rank != 0:
-        raise AssertionError("unit_lower_triangular node has nonzero a12 rank")
-    validate_structure(h.a11, tag)
-    validate_structure(h.a22, tag)

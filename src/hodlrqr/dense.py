@@ -74,8 +74,9 @@ def spectral_norm_estimate(apply, apply_transpose, n: int,
     deterministic vectors: the normalized all-ones vector and a fixed
     pseudorandom companion (a single start vector can be nearly orthogonal
     to the top singular vector, which no stopping rule detects).  With the
-    default tol and max_iter this gives two correct digits, enough for
-    scaling a truncation threshold.
+    default tol and max_iter the result is a lower bound typically within a
+    few percent of the norm (2.2 % below on a random rank-16 HODLR matrix
+    of order 8000), enough for scaling a truncation threshold.
 
     With ``with_bound`` the result is the pair (estimate, bound), where
     bound = 10 sqrt(2/pi) max_i ||A w_i|| over the start columns w_i, taken

@@ -67,10 +67,6 @@ class StructuredY:
     y_b: LowRankBlock
     y_c: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        from .core import to_dense as hodlr_to_dense
-        return np.vstack([hodlr_to_dense(self.y_a), self.y_b.to_dense(), self.y_c])
-
 
 @dataclass
 class HodlrQRFactors:

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from hodlrqr import HodlrMatrix, LowRankBlock, build_partition
+from hodlrqr import (
+    HodlrMatrix,
+    LowRankBlock,
+    PartitionTree,
+    TruncationControl,
+    build_partition,
+    from_dense,
+    to_dense,
+)
+from hodlrqr.bench import _random_hodlr
+
+UPPER_TRIANGULAR = "upper_triangular"
+UNIT_LOWER_TRIANGULAR = "unit_lower_triangular"
 
 
 def random_hodlr_pair(n, n_min, rank=1, seed=0, scale=1.0):
@@ -23,7 +35,6 @@ def random_hodlr_pair(n, n_min, rank=1, seed=0, scale=1.0):
         return HodlrMatrix(a11=a11, a22=a22, a12=a12, a21=a21)
 
     h = build(tree)
-    from hodlrqr import to_dense
     return h, to_dense(h), tree
 
 
@@ -33,7 +44,6 @@ def spd_hodlr_pair(n, n_min, seed=0):
     tree = build_partition(n, n_min)
     m = rng.standard_normal((n, n))
     spd = m @ m.T / n + 5.0 * np.eye(n)
-    from hodlrqr import TruncationControl, from_dense, to_dense
     h = from_dense(spd, tree, TruncationControl(1e-13 * np.linalg.norm(spd, 2)))
     return h, to_dense(h), tree
 
@@ -63,6 +73,63 @@ def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False, t
     a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper, c2)
     a21 = LowRankBlock.zero(t2.n, c1.n) if upper else block(t2.n, c1.n)
     return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, c2.n), a21=a21)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends to the returned list
+    on every call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
+    """Random rectangular block matrix with the recipe of
+    bench.gen_random_hodlr, as a dense array.  Returns (dense, tree_rows,
+    tree_cols); the row tree divides the m rows evenly at the level of the
+    column tree."""
+    tree_cols = build_partition(n, n_min)
+    leaves = 2 ** tree_cols.level
+    base, rem = divmod(m, leaves)
+    row_sizes = tuple(base + 1 if j < rem else base for j in range(leaves))
+    tree_rows = PartitionTree(tree_cols.level, row_sizes)
+    return to_dense(_random_hodlr(tree_rows, tree_cols, offdiag_rank, seed)), tree_rows, tree_cols
+
+
+def structured_y_dense(y):
+    """The dense rows [y_a; y_b; y_c] of a StructuredY."""
+    return np.vstack([to_dense(y.y_a), y.y_b.to_dense(), y.y_c])
+
+
+def validate_structure(h, tag):
+    """Assert the structural invariants of ``tag`` on h and all its nodes.
+
+    UPPER_TRIANGULAR requires every a21 block to have rank 0 and every leaf
+    to be upper triangular; UNIT_LOWER_TRIANGULAR is the mirror image with
+    unit leaf diagonals.
+    """
+    if tag not in (UPPER_TRIANGULAR, UNIT_LOWER_TRIANGULAR):
+        raise ValueError(f"unknown structure tag {tag!r}")
+    if h.is_leaf:
+        d = h.dense
+        if tag == UPPER_TRIANGULAR and np.any(np.tril(d, -1) != 0):
+            raise AssertionError("upper_triangular leaf has nonzeros below diagonal")
+        if tag == UNIT_LOWER_TRIANGULAR:
+            if np.any(np.triu(d, 1) != 0) or np.any(np.diag(d) != 1.0):
+                raise AssertionError("unit_lower_triangular leaf malformed")
+        return
+    if tag == UPPER_TRIANGULAR and h.a21.rank != 0:
+        raise AssertionError("upper_triangular node has nonzero a21 rank")
+    if tag == UNIT_LOWER_TRIANGULAR and h.a12.rank != 0:
+        raise AssertionError("unit_lower_triangular node has nonzero a12 rank")
+    validate_structure(h.a11, tag)
+    validate_structure(h.a22, tag)
 
 
 @pytest.fixture

@@ -23,10 +23,17 @@ from hodlrqr import (
 )
 from hodlrqr import arith, core
 from hodlrqr.arith import solve_upper_dense
-from hodlrqr.bench import gen_matrix, gen_random_hodlr, gen_random_rect_dense
-from hodlrqr.core import UPPER_TRIANGULAR, validate_structure
+from hodlrqr.bench import gen_matrix, gen_random_hodlr
 
-from conftest import random_hodlr, random_hodlr_pair, spd_hodlr_pair
+from conftest import (
+    UPPER_TRIANGULAR,
+    count_calls,
+    gen_random_rect_dense,
+    random_hodlr,
+    random_hodlr_pair,
+    spd_hodlr_pair,
+    validate_structure,
+)
 
 
 def matvec(h, v):
@@ -325,25 +332,13 @@ def test_solve_upper_right_residual_at_eps_zero(seed, n, n_min):
     assert resid <= 1e-12 * np.linalg.cond(r_d) * np.linalg.norm(b_d, 2)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    inner = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("n_min", [50, 25, 12])
 def test_multiply_truncates_once_per_offdiagonal_block(monkeypatch, n_min):
     # the low-rank products meant for the diagonal blocks travel down as one
     # pending term; at level 3 a truncation after every update made 34
     h1, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=31)
     h2, _, _ = random_hodlr_pair(200, n_min, rank=2, seed=32)
-    calls = _count_calls(monkeypatch, core, "truncate_lowrank")
+    calls = count_calls(monkeypatch, core, "truncate_lowrank")
     multiply(transpose(h1), h2, TruncationControl(1e-10))
     assert len(calls) == 2 * (2 ** tree.level - 1)
 
@@ -355,8 +350,8 @@ def test_solve_upper_right_one_leaf_solve_per_leaf(monkeypatch, n_min):
     b, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=33)
     r = random_hodlr(np.random.default_rng(34), tree, ranks=(2,), zero_blocks=False,
                      upper=True)
-    solves = _count_calls(monkeypatch, arith, "_leaf_solve_upper")
-    truncations = _count_calls(monkeypatch, core, "truncate_lowrank")
+    solves = count_calls(monkeypatch, arith, "_leaf_solve_upper")
+    truncations = count_calls(monkeypatch, core, "truncate_lowrank")
     solve_upper_triangular_right(b, r, TruncationControl(1e-10))
     assert len(solves) == 2 ** tree.level
     # one for each B12, one for each B21 off the left edge of the tree
@@ -368,7 +363,7 @@ def test_apply_dense_without_columns_visits_no_node(monkeypatch, trans):
     # cholqr2's closing multiply of two triangular factors applies subtrees
     # to the 0-column factors of their rank-0 a21 blocks
     h, _, _ = random_hodlr_pair(200, 25, rank=2, seed=35)
-    visits = _count_calls(monkeypatch, arith, "_apply_into")
+    visits = count_calls(monkeypatch, arith, "_apply_into")
     out = apply_dense(h, np.zeros((200, 0)), trans=trans)
     assert out.shape == (200, 0)
     assert not visits
@@ -441,7 +436,7 @@ def test_gram_mirrors_the_upper_blocks_of_multiply(monkeypatch, n_min):
     a, _, tree = random_hodlr_pair(200, n_min, rank=2, seed=49)
     tc = TruncationControl(1e-10)
     full = multiply(transpose(a), a, tc)
-    calls = _count_calls(monkeypatch, core, "truncate_lowrank")
+    calls = count_calls(monkeypatch, core, "truncate_lowrank")
     g = arith.gram(a, tc)
     assert len(calls) == 2 ** tree.level - 1
     _assert_same_bits(g, full, lower=False)

@@ -24,9 +24,16 @@ from hodlrqr import (
     truncation_rank,
     write_hodlr,
 )
-from hodlrqr.core import UPPER_TRIANGULAR, _truncate_shared, truncate_shared, validate_structure
+import hodlrqr
+from hodlrqr.core import _truncate_shared
 
-from conftest import random_hodlr, random_hodlr_pair
+from conftest import UPPER_TRIANGULAR, random_hodlr, random_hodlr_pair, validate_structure
+
+
+def test_public_names_resolve_once():
+    assert len(set(hodlrqr.__all__)) == len(hodlrqr.__all__)
+    for name in hodlrqr.__all__:
+        assert getattr(hodlrqr, name) is not None, name
 
 
 def test_build_partition_default_block_size():
@@ -205,36 +212,31 @@ def test_sum_lowrank_error_within_eps(ranks, n_rows, n_cols, eps, zero_term, see
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=3),
-       st.integers(0, 15), st.integers(1, 12),
+@given(st.integers(1, 12), st.integers(0, 15), st.integers(1, 12),
        st.one_of(st.just(0.0), st.floats(1e-14, 10.0)),
        st.sampled_from(["none", "left", "right"]), st.integers(0, 2**32 - 1))
-@example([3, 12], 15, 5, 0.0, "none", 0)  # K above every n_rows and n_cols
-@example([4, 2], 6, 7, 0.0, "left", 1)
-@example([5], 3, 4, 0.0, "right", 2)
-@example([5], 0, 4, 0.0, "none", 3)
-def test_truncate_shared_matches_truncate_lowrank(n_rows, k, n_cols, eps, zero, seed):
-    # each left factor truncated against one shared right factor, ranks k
-    # up to above every n_rows and n_cols
+@example(12, 15, 5, 0.0, "none", 0)  # K above n_rows and n_cols
+@example(4, 6, 7, 0.0, "left", 1)
+@example(5, 3, 4, 0.0, "right", 2)
+@example(5, 0, 4, 0.0, "none", 3)
+def test_truncate_lowrank_is_left_orthogonal_within_eps(n_rows, k, n_cols, eps, zero, seed):
+    # ranks k up to above n_rows and n_cols, and zero factors of nonzero rank
     rng = np.random.default_rng(seed)
-    lefts = [rng.standard_normal((n, k)) for n in n_rows]
+    L = rng.standard_normal((n_rows, k))
     right = rng.standard_normal((k, n_cols))
     if zero == "left":
-        lefts[0] = np.zeros_like(lefts[0])
+        L = np.zeros_like(L)
     elif zero == "right":
         right = np.zeros_like(right)
-    tc = TruncationControl(eps)
-    outs = truncate_shared(lefts, right, tc)
-    assert len(outs) == len(lefts)
-    for L, out in zip(lefts, outs):
-        assert (out.n_rows, out.n_cols) == (L.shape[0], n_cols)
-        assert out.rank == truncate_lowrank(LowRankBlock(L, right), tc).rank
-        assert out.left_orthogonal
-        assert np.linalg.norm(out.L.T @ out.L - np.eye(out.rank), 2) <= 1e-13
-        roundoff = 100 * np.finfo(float).eps * np.linalg.norm(L) * np.linalg.norm(right)
-        assert np.linalg.norm(out.to_dense() - L @ right, 2) <= eps * (1 + 1e-9) + roundoff
-        if zero == "right" or (zero == "left" and L is lefts[0]):
-            assert out.rank == 0
+    out = truncate_lowrank(LowRankBlock(L, right), TruncationControl(eps))
+    assert (out.n_rows, out.n_cols) == (n_rows, n_cols)
+    assert out.rank <= min(n_rows, k, n_cols)
+    assert out.left_orthogonal
+    assert np.linalg.norm(out.L.T @ out.L - np.eye(out.rank), 2) <= 1e-13
+    roundoff = 100 * np.finfo(float).eps * np.linalg.norm(L) * np.linalg.norm(right)
+    assert np.linalg.norm(out.to_dense() - L @ right, 2) <= eps * (1 + 1e-9) + roundoff
+    if zero != "none":
+        assert out.rank == 0
 
 
 @settings(max_examples=150, deadline=None)

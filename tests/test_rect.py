@@ -13,10 +13,10 @@ from hodlrqr import (
     to_dense,
     triangle_rows,
 )
-from hodlrqr.bench import gen_random_hodlr, gen_random_rect_dense
+from hodlrqr.bench import gen_random_hodlr
 from hodlrqr.core import PartitionTree
 
-from conftest import random_hodlr
+from conftest import gen_random_rect_dense, random_hodlr
 
 
 def rect_qr(a, tree_rows, tree_cols, eps):
