@@ -18,12 +18,12 @@ from .baselines import cholqr, cholqr2
 from .core import (
     HodlrMatrix,
     LowRankBlock,
-    PartitionTree,
     TruncationControl,
     build_partition,
     from_dense,
     stats,
     to_dense,
+    _build,
 )
 from .dense import spectral_norm_estimate
 from .hqr import HodlrQRFactors, apply_q, apply_q_transpose, hqr, q_to_hodlr
@@ -106,21 +106,14 @@ def _random_hodlr(tree_rows, tree_cols, offdiag_rank, seed) -> HodlrMatrix:
     def next_rng():
         return np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
 
-    def block(n_rows, n_cols) -> LowRankBlock:
+    def block(i, j, n_rows, n_cols) -> LowRankBlock:
         g = next_rng()
         return LowRankBlock(g.standard_normal((n_rows, offdiag_rank)),
                             g.standard_normal((offdiag_rank, n_cols)))
 
-    def build(tr: PartitionTree, tc: PartitionTree) -> HodlrMatrix:
-        if tr.level == 0:
-            return HodlrMatrix(dense=next_rng().standard_normal((tr.n, tc.n)))
-        (r1, r2), (c1, c2) = tr.split(), tc.split()
-        a11 = build(r1, c1)
-        a21 = block(r2.n, c1.n)
-        a12 = block(r1.n, c2.n)
-        return HodlrMatrix(a11=a11, a22=build(r2, c2), a12=a12, a21=a21)
-
-    return build(tree_rows, tree_cols)
+    return _build(tree_rows, tree_cols,
+                  lambda i, j, n_rows, n_cols: next_rng().standard_normal((n_rows, n_cols)),
+                  block)
 
 
 def gen_cauchy(n: int, ix_lo: float, ix_hi: float, iy_lo: float, iy_hi: float,
@@ -262,7 +255,11 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
     in estimate mode.  Ranks and memory are the maximal off-diagonal ranks
     and the stored scalars relative to a of Y, T, Q and R (Y and T only for
     WY factors, whose Q is materialized at ``eps`` for its statistics).
+    A must be square: any other shape raises ValueError before any product.
     """
+    shape = (a.n, a.n_cols) if isinstance(a, HodlrMatrix) else np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"metrics requires a square matrix A, got shape {shape}")
     wy = isinstance(f, HodlrQRFactors)
     q, r = (f, f.r) if wy else f
     out = qr_errors(_operator(a), _operator(q), _operator(r), estimate)

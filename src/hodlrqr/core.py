@@ -148,26 +148,45 @@ class HodlrMatrix:
 
     def leaf_sizes(self) -> tuple[int, ...]:
         """Row counts of the leaves."""
-        if self.is_leaf:
-            return (self.n,)
-        return self.a11.leaf_sizes() + self.a22.leaf_sizes()
+        return tuple(x.n for _, _, x in _nodes(self) if x.is_leaf)
 
     def tree(self) -> PartitionTree:
         return PartitionTree(self.level, self.leaf_sizes())
 
     def is_square(self) -> bool:
         """True when every leaf is square, so rows and columns share one tree."""
-        if self.is_leaf:
-            return self.n == self.n_cols
-        return self.a11.is_square() and self.a22.is_square()
+        return all(x.n == x.n_cols for _, _, x in _nodes(self) if x.is_leaf)
 
     def same_structure(self, other: "HodlrMatrix") -> bool:
-        if (self.is_leaf != other.is_leaf or self.n != other.n
-                or self.n_cols != other.n_cols):
-            return False
-        if self.is_leaf:
-            return True
-        return self.a11.same_structure(other.a11) and self.a22.same_structure(other.a22)
+        # the post-order list of (is_leaf, n, n_cols) determines the tree,
+        # since is_leaf fixes the number of children
+        mine, theirs = ([(x.is_leaf, x.n, x.n_cols) for _, _, x in _nodes(h)]
+                        for h in (self, other))
+        return mine == theirs
+
+
+def _nodes(h: HodlrMatrix, i: int = 0, j: int = 0):
+    # (row offset, column offset, node) of every node of h in post-order:
+    # children before their parent, leaves left to right
+    if not h.is_leaf:
+        yield from _nodes(h.a11, i, j)
+        yield from _nodes(h.a22, i + h.a11.n, j + h.a11.n_cols)
+    yield i, j, h
+
+
+def _build(tree_rows: PartitionTree, tree_cols: PartitionTree, leaf, block,
+           i: int = 0, j: int = 0) -> HodlrMatrix:
+    # HODLR matrix over the two trees whose leaves are leaf(i, j, r, c) and
+    # off-diagonal blocks block(i, j, r, c), for the r x c part at offset
+    # (i, j); called in HDLR1 order: a11 subtree, a21, a12, a22 subtree
+    if tree_rows.level == 0:
+        return HodlrMatrix(dense=leaf(i, j, tree_rows.n, tree_cols.n))
+    (r1, r2), (c1, c2) = tree_rows.split(), tree_cols.split()
+    a11 = _build(r1, c1, leaf, block, i, j)
+    a21 = block(i + r1.n, j, r2.n, c1.n)
+    a12 = block(i, j + c1.n, r1.n, c2.n)
+    return HodlrMatrix(a11=a11, a21=a21, a12=a12,
+                       a22=_build(r2, c2, leaf, block, i + r1.n, j + c1.n))
 
 
 def from_dense(m: np.ndarray, tree: PartitionTree, tc: TruncationControl,
@@ -190,16 +209,8 @@ def from_dense(m: np.ndarray, tree: PartitionTree, tc: TruncationControl,
                          f"({tree.n}, {tree_cols.n})")
     if tree.level != tree_cols.level:
         raise ValueError("row and column trees must have equal level")
-    if tree.level == 0:
-        return HodlrMatrix(dense=m.copy())
-    (t1, t2), (c1, c2) = tree.split(), tree_cols.split()
-    m1, n1 = t1.n, c1.n
-    return HodlrMatrix(
-        a11=from_dense(m[:m1, :n1], t1, tc, c1),
-        a22=from_dense(m[m1:, n1:], t2, tc, c2),
-        a12=compress_block(m[:m1, n1:], tc),
-        a21=compress_block(m[m1:, :n1], tc),
-    )
+    return _build(tree, tree_cols, lambda i, j, r, c: m[i:i + r, j:j + c].copy(),
+                  lambda i, j, r, c: compress_block(m[i:i + r, j:j + c], tc))
 
 
 def compress_block(block: np.ndarray, tc: TruncationControl) -> LowRankBlock:
@@ -217,14 +228,14 @@ def compress_block(block: np.ndarray, tc: TruncationControl) -> LowRankBlock:
 
 def to_dense(h: HodlrMatrix) -> np.ndarray:
     """Materialize a HODLR matrix densely (test oracle; caller keeps n small)."""
-    if h.is_leaf:
-        return h.dense.copy()
-    m1, n1 = h.a11.n, h.a11.n_cols
     out = np.empty((h.n, h.n_cols))
-    out[:m1, :n1] = to_dense(h.a11)
-    out[m1:, n1:] = to_dense(h.a22)
-    out[:m1, n1:] = h.a12.to_dense()
-    out[m1:, :n1] = h.a21.to_dense()
+    for i, j, x in _nodes(h):
+        if x.is_leaf:
+            out[i:i + x.n, j:j + x.n_cols] = x.dense
+        else:
+            m1, n1 = x.a11.n, x.a11.n_cols
+            out[i:i + m1, j + n1:j + x.n_cols] = x.a12.to_dense()
+            out[i + m1:i + x.n, j:j + n1] = x.a21.to_dense()
     return out
 
 
@@ -295,19 +306,13 @@ def stats(h: HodlrMatrix) -> dict:
     """Maximal off-diagonal rank and memory footprint in stored scalars."""
     max_rank = 0
     memory = 0
-
-    def walk(node):
-        nonlocal max_rank, memory
-        if node.is_leaf:
-            memory += node.dense.size
-            return
-        for blk in (node.a12, node.a21):
+    for _, _, x in _nodes(h):
+        if x.is_leaf:
+            memory += x.dense.size
+            continue
+        for blk in (x.a12, x.a21):
             max_rank = max(max_rank, blk.rank)
             memory += blk.rank * (blk.n_rows + blk.n_cols)
-        walk(node.a11)
-        walk(node.a22)
-
-    walk(h)
     return {"max_offdiag_rank": max_rank, "memory_scalars": memory}
 
 
@@ -315,21 +320,15 @@ def check_finite(what: str, *operands) -> None:
     """Raise ValueError naming ``what`` if an operand, a dense array or a HODLR
     matrix (its leaves and low-rank factors), has an inf or nan entry."""
     for x in operands:
+        parts = [x]
         if isinstance(x, HodlrMatrix):
-            check_finite(what, *([x.dense] if x.is_leaf else
-                                 [x.a12.L, x.a12.R, x.a21.L, x.a21.R, x.a11, x.a22]))
-        elif not np.isfinite(x).all():
+            parts = [p for _, _, node in _nodes(x) for p in ([node.dense] if node.is_leaf else
+                     [node.a12.L, node.a12.R, node.a21.L, node.a21.R])]
+        if not all(np.isfinite(p).all() for p in parts):
             raise ValueError(f"{what} input has non-finite entries (inf or nan)")
 
 
 def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:
     """Identity matrix in HODLR form (rank-0 off-diagonal blocks)."""
-    if tree.level == 0:
-        return HodlrMatrix(dense=np.eye(tree.n))
-    t1, t2 = tree.split()
-    return HodlrMatrix(
-        a11=hodlr_identity(t1),
-        a22=hodlr_identity(t2),
-        a12=LowRankBlock.zero(t1.n, t2.n),
-        a21=LowRankBlock.zero(t2.n, t1.n),
-    )
+    return _build(tree, tree, lambda i, j, r, c: np.eye(r),
+                  lambda i, j, r, c: LowRankBlock.zero(r, c))

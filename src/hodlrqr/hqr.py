@@ -20,6 +20,7 @@ from .core import (
     check_finite,
     hodlr_identity,
     left_orthogonalize,
+    _nodes,
     _sum_lowrank,
     _truncate_shared,
 )
@@ -127,20 +128,15 @@ def hqr_rec(col: StructuredColumn, eps_abs: float,
 
 
 def _check_leaves(h: HodlrMatrix) -> None:
-    if h.is_leaf:
-        if h.n < h.n_cols:
-            raise ValueError(f"leaf {h.n} x {h.n_cols} is wider than tall")
-    else:
-        _check_leaves(h.a11)
-        _check_leaves(h.a22)
+    for _, _, x in _nodes(h):
+        if x.is_leaf and x.n < x.n_cols:
+            raise ValueError(f"leaf {x.n} x {x.n_cols} is wider than tall")
 
 
 def triangle_rows(h: HodlrMatrix) -> np.ndarray:
     """Row indices of h that hold R after hqr_rec: the first n_j rows of
     every leaf j, in leaf order."""
-    if h.is_leaf:
-        return np.arange(h.n_cols)
-    return np.concatenate([triangle_rows(h.a11), h.a11.n + triangle_rows(h.a22)])
+    return np.concatenate([i + np.arange(x.n_cols) for i, _, x in _nodes(h) if x.is_leaf])
 
 
 def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float,
@@ -253,8 +249,6 @@ def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     vec = m.ndim == 1
     x = m[:, None] if vec else m
-    if x.shape[0] != f.y.n:
-        raise ValueError("row counts do not match")
     yt_x = apply_dense(f.y, x, trans=True)
     out = x - apply_dense(f.y, apply_dense(f.t, yt_x, trans))
     return out[:, 0] if vec else out

@@ -75,6 +75,22 @@ def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False, t
     return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, c2.n), a21=a21)
 
 
+def nested_hodlr(rng, shape, rank=1):
+    """HODLR matrix built by hand from the nesting ``shape``: a tuple (m, n)
+    is a standard normal m x n leaf, a list [a11, a22] a node whose
+    off-diagonal blocks have rank ``rank``, so trees may be unbalanced."""
+    if isinstance(shape, tuple):
+        return HodlrMatrix(dense=rng.standard_normal(shape))
+    a11, a22 = (nested_hodlr(rng, s, rank) for s in shape)
+
+    def block(n_rows, n_cols):
+        return LowRankBlock(rng.standard_normal((n_rows, rank)),
+                            rng.standard_normal((rank, n_cols)))
+
+    return HodlrMatrix(a11=a11, a22=a22, a12=block(a11.n, a22.n_cols),
+                       a21=block(a22.n, a11.n_cols))
+
+
 def count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that appends to the returned list
     on every call."""

@@ -29,6 +29,7 @@ from conftest import (
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
+    nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
     spd_hodlr_pair,
@@ -112,6 +113,18 @@ def test_add_tree_mismatch(rng):
     h2, _, _ = random_hodlr_pair(64, 32, seed=0)
     with pytest.raises(ValueError):
         add(h1, h2, TruncationControl(1e-12))
+
+
+@pytest.mark.parametrize("op", [add, multiply])
+def test_same_leaves_nested_differently_are_different_trees(rng, op):
+    # leaves 2, 2, 2 in both, nested as ((2, 2), 2) and as (2, (2, 2))
+    left = nested_hodlr(rng, [[(2, 2), (2, 2)], (2, 2)])
+    right = nested_hodlr(rng, [(2, 2), [(2, 2), (2, 2)]])
+    assert left.leaf_sizes() == right.leaf_sizes() == (2, 2, 2)
+    assert left.same_structure(nested_hodlr(rng, [[(2, 2), (2, 2)], (2, 2)]))
+    assert not left.same_structure(right) and not right.same_structure(left)
+    with pytest.raises(ValueError, match="requires operands with the same partition tree"):
+        op(left, right, TruncationControl(1e-12))
 
 
 def test_multiply_identity(rng):

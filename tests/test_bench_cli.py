@@ -1,11 +1,24 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hodlrqr import bench, cli, hqr, read_hodlr, stats, to_dense, write_hodlr
+from hodlrqr import (
+    HodlrMatrix,
+    LowRankBlock,
+    bench,
+    build_partition,
+    cli,
+    hqr,
+    read_hodlr,
+    stats,
+    to_dense,
+    write_hodlr,
+)
 from hodlrqr.bench import (
     BenchConfig,
     CSV_HEADER,
@@ -39,6 +52,33 @@ def test_gen_random_deterministic():
     assert hodlr_equal(a, b)
     c = gen_random_hodlr(200, 50, 1, seed=18)
     assert not hodlr_equal(a, c)
+
+
+def test_gen_random_spawns_one_stream_per_part_in_hdlr1_order():
+    # every leaf and block draws from the next SeedSequence(seed).spawn(1)
+    # stream, in the order a11 subtree, a21, a12, a22 subtree
+    n, n_min, k, seed = 203, 30, 2, 7
+    root = np.random.SeedSequence(seed)
+
+    def stream():
+        return np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
+
+    def block(n_rows, n_cols):
+        g = stream()
+        return LowRankBlock(g.standard_normal((n_rows, k)), g.standard_normal((k, n_cols)))
+
+    def rebuild(tree):
+        if tree.level == 0:
+            return HodlrMatrix(dense=stream().standard_normal((tree.n, tree.n)))
+        t1, t2 = tree.split()
+        a11 = rebuild(t1)
+        a21 = block(t2.n, t1.n)
+        a12 = block(t1.n, t2.n)
+        return HodlrMatrix(a11=a11, a22=rebuild(t2), a12=a12, a21=a21)
+
+    expected = rebuild(build_partition(n, n_min))
+    assert expected.leaf_sizes() == (51, 51, 51, 50)
+    assert hodlr_equal(gen_random_hodlr(n, n_min, k, seed), expected)
 
 
 def test_gen_random_rank():
@@ -291,8 +331,12 @@ def test_cli_sweep_stdout(capsys):
 
 
 def test_cli_entry_point_runs():
+    # the subprocess finds the package the way pytest's pythonpath does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "hodlrqr.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "bench" in proc.stdout
 

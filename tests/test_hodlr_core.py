@@ -12,22 +12,31 @@ from hodlrqr import (
     LowRankBlock,
     PartitionTree,
     TruncationControl,
+    apply_dense,
     build_partition,
     from_dense,
     hodlr_identity,
+    hqr,
     left_orthogonalize,
     read_hodlr,
     stats,
     sum_lowrank,
     to_dense,
+    triangle_rows,
     truncate_lowrank,
     truncation_rank,
     write_hodlr,
 )
 import hodlrqr
-from hodlrqr.core import _truncate_shared
+from hodlrqr.core import _truncate_shared, check_finite
 
-from conftest import UPPER_TRIANGULAR, random_hodlr, random_hodlr_pair, validate_structure
+from conftest import (
+    UPPER_TRIANGULAR,
+    nested_hodlr,
+    random_hodlr,
+    random_hodlr_pair,
+    validate_structure,
+)
 
 
 def test_public_names_resolve_once():
@@ -117,6 +126,47 @@ def test_to_dense_rank_zero_offdiagonals():
     tree = build_partition(8, 4)
     ident = hodlr_identity(tree)
     assert np.array_equal(to_dense(ident), np.eye(8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_hodlr_pair(150, 20, rank=3, seed=5)[0],
+    lambda rng: random_hodlr(rng, PartitionTree(2, (9, 5, 7, 6)),
+                             tree_cols=PartitionTree(2, (4, 5, 3, 6))),
+    lambda rng: nested_hodlr(rng, [[(3, 2), [(4, 2), (2, 1)]], (5, 3)], rank=2),
+    lambda rng: nested_hodlr(rng, [(4, 4), [[(3, 3), (2, 2)], (5, 5)]]),
+], ids=["square", "rectangular", "unbalanced-rectangular", "unbalanced-square"])
+def test_to_dense_agrees_with_products_on_the_identity(rng, make):
+    h = make(rng)
+    d = to_dense(h)
+    assert d.shape == (h.n, h.n_cols)
+    ref = apply_dense(h, np.eye(h.n_cols))
+    assert np.max(np.abs(d - ref)) <= 1e-13 * np.linalg.norm(ref, 2)
+
+
+def test_structural_queries_on_an_unbalanced_rectangular_tree(rng):
+    # root [[3x2, [4x2, 2x1]], 5x3]; the deep node [4x2, 2x1] gets a rank-2
+    # a21 (2 x 2) whose R holds an inf
+    h = nested_hodlr(rng, [[(3, 2), [(4, 2), (2, 1)]], (5, 3)])
+    assert h.leaf_sizes() == (3, 4, 2, 5) and (h.n, h.n_cols) == (14, 8)
+    assert not h.is_square()
+    assert triangle_rows(h).tolist() == [0, 1, 3, 4, 7, 9, 10, 11]
+    check_finite("hqr", h)
+    r = np.ones((2, 2))
+    r[1, 0] = np.inf
+    h.a11.a22.a21 = LowRankBlock(np.ones((2, 2)), r)
+    # leaves 6 + 8 + 2 + 15; rank-1 blocks (4+1) + (3+3) + (6+2) + (9+3) + (5+5),
+    # the rank-2 block 2 (2+2)
+    assert stats(h) == {"max_offdiag_rank": 2, "memory_scalars": 31 + 41 + 8}
+    with pytest.raises(ValueError, match="hqr input has non-finite entries"):
+        hqr(h, 1e-10)
+    with pytest.raises(ValueError, match="cholqr input has non-finite entries"):
+        check_finite("cholqr", np.zeros(3), h)
+    assert HodlrMatrix(dense=np.ones((3, 3))).is_square()
+    assert nested_hodlr(rng, [[(2, 2), (3, 3)], (1, 1)]).is_square()
+    # hqr names the first wide leaf in leaf order
+    wide = nested_hodlr(rng, [[(3, 2), [(1, 2), (2, 1)]], (2, 3)])
+    with pytest.raises(ValueError, match="leaf 1 x 2 is wider than tall"):
+        hqr(wide, 1e-10)
 
 
 @pytest.mark.parametrize("eps", [-1e-10, float("nan"), float("inf")])

@@ -232,6 +232,15 @@ def test_apply_q_matches_dense_q(rng):
     assert np.allclose(apply_q_transpose(f, v), q.T @ v, atol=1e-11 * np.linalg.norm(v))
 
 
+@pytest.mark.parametrize("apply", [apply_q, apply_q_transpose])
+@pytest.mark.parametrize("shape", [(65,), (63, 3)])
+def test_apply_q_rejects_a_wrong_row_count(apply, shape):
+    h, _, _ = random_hodlr_pair(64, 16, seed=37)
+    f = hqr(h, 1e-13)
+    with pytest.raises(ValueError, match=f"dimension mismatch: 64 vs {shape[0]}"):
+        apply(f, np.ones(shape))
+
+
 def test_q_to_hodlr_zero_y():
     tree = build_partition(64, 16)
     ident = hodlr_identity(tree)

@@ -9,12 +9,15 @@ from hodlrqr import (
     CholeskyBreakdownError,
     TruncationControl,
     cholqr2,
+    from_dense,
     hodlr_spectral_norm,
     hqr,
     to_dense,
 )
 from hodlrqr import bench
 from hodlrqr.bench import BenchConfig, gen_cauchy_config, gen_random_hodlr, metrics
+
+from conftest import gen_random_rect_dense
 
 # Estimated e_orth and e_acc lie within this factor of the dense values.
 # For a fixed operator the block estimate is a lower bound on its norm; at
@@ -99,3 +102,14 @@ def test_run_bench_computes_matrix_properties_once(monkeypatch):
     calls.update(kappa2=0, norm=0)
     bench.run_bench(BenchConfig(methods=("hqr",), sizes=(128,), n_min=32, estimate=True))
     assert calls == {"kappa2": 0, "norm": 0}
+
+
+@pytest.mark.parametrize("estimate", [False, True])
+@pytest.mark.parametrize("hodlr", [True, False])
+def test_metrics_refuses_a_rectangular_a(estimate, hodlr):
+    d, tree_rows, tree_cols = gen_random_rect_dense(400, 200, 50, seed=3)
+    a = from_dense(d, tree_rows, TruncationControl(1e-10), tree_cols)
+    f = hqr(a, 1e-10, absolute=True)
+    msg = r"metrics requires a square matrix A, got shape \(400, 200\)"
+    with pytest.raises(ValueError, match=msg):
+        metrics(a if hodlr else d, f if hodlr else np.linalg.qr(d), estimate=estimate)
