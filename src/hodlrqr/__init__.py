@@ -7,7 +7,6 @@ harness.
 
 from .arith import (
     CholeskyBreakdownError,
-    add,
     apply_dense,
     cholesky,
     hodlr_spectral_norm,
@@ -57,7 +56,7 @@ __all__ = [
     "CholeskyBreakdownError", "CorruptionError", "DenseWY", "FormatError",
     "HodlrMatrix", "HodlrQRFactors", "LowRankBlock", "PartitionTree",
     "StructuredColumn", "StructuredY",
-    "SvdResult", "TruncationControl", "add", "apply_dense", "apply_q",
+    "SvdResult", "TruncationControl", "apply_dense", "apply_q",
     "apply_q_transpose", "block_qr", "build_partition", "cholesky", "cholqr",
     "cholqr2", "from_dense", "hodlr_identity", "hodlr_spectral_norm", "hqr",
     "hqr_rec", "left_orthogonalize", "multiply", "q_to_hodlr", "read_hodlr",

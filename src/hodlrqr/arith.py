@@ -1,6 +1,6 @@
-"""HODLR arithmetic: matrix-vector products, addition, matrix-matrix
-multiplication, Cholesky factorization and triangular solves, each
-combined with recompression to limit rank growth."""
+"""HODLR arithmetic: matrix-vector products, matrix-matrix multiplication,
+Cholesky factorization and triangular solves, each combined with
+recompression to limit rank growth."""
 
 import numpy as np
 import scipy.linalg
@@ -91,19 +91,6 @@ def scale(h: HodlrMatrix, alpha: float) -> HodlrMatrix:
         a22=scale(h.a22, alpha),
         a12=h.a12.scaled(alpha),
         a21=h.a21.scaled(alpha),
-    )
-
-
-def add(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
-    """H1 + H2 with recompression of the concatenated off-diagonal factors."""
-    _check_same_tree(h1, h2, "add")
-    if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense + h2.dense)
-    return HodlrMatrix(
-        a11=add(h1.a11, h2.a11, tc),
-        a22=add(h1.a22, h2.a22, tc),
-        a12=sum_lowrank([h1.a12, h2.a12], tc),
-        a21=sum_lowrank([h1.a21, h2.a21], tc),
     )
 
 

@@ -243,18 +243,19 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
     return out
 
 
-def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
-            compute_kappa: bool = True, compute_ranks: bool = True) -> dict:
+def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
     """Accuracy, rank and memory metrics of a QR decomposition of a.
 
     ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
     Cholesky-based baselines, or dense arrays).  e_orth and e_acc come
     from qr_errors: exact norms of the densified errors, or with
     ``estimate`` block power-iteration estimates next to their bounds
-    e_orth_bound and e_acc_bound.  kappa2 needs the dense matrix and is nan
-    in estimate mode.  Ranks and memory are the maximal off-diagonal ranks
-    and the stored scalars relative to a of Y, T, Q and R (Y and T only for
-    WY factors, whose Q is materialized at ``eps`` for its statistics).
+    e_orth_bound and e_acc_bound.  Factors in HODLR form also get their
+    maximal off-diagonal ranks and, for a HODLR a, their stored scalars
+    relative to a: Y, T, Q and R for WY factors, whose Q is materialized
+    at ``eps`` for its statistics, Q and R for an explicit pair.  kappa2
+    belongs to a alone; run_bench and ``hodlrqr qr`` compute it once per
+    matrix with _kappa2.
     A must be square: any other shape raises ValueError before any product.
     """
     shape = (a.n, a.n_cols) if isinstance(a, HodlrMatrix) else np.shape(a)
@@ -263,21 +264,21 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False,
     wy = isinstance(f, HodlrQRFactors)
     q, r = (f, f.r) if wy else f
     out = qr_errors(_operator(a), _operator(q), _operator(r), estimate)
-    out["kappa2"] = math.nan
-    if compute_kappa and not estimate:
-        out["kappa2"] = _kappa2(a)
-    if compute_ranks:
-        parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f, eps), "r": f.r} if wy else \
-            {"q": q, "r": r}
-        s = {key: stats(h) for key, h in parts.items()}
-        out.update({f"rank_{key}": st["max_offdiag_rank"] for key, st in s.items()})
-        if isinstance(a, HodlrMatrix):
-            mem_a = stats(a)["memory_scalars"]
-            if wy:
-                out["mem_yt_rel"] = (s["y"]["memory_scalars"]
-                                     + s["t"]["memory_scalars"]) / mem_a
-            out["mem_q_rel"] = s["q"]["memory_scalars"] / mem_a
-            out["mem_r_rel"] = s["r"]["memory_scalars"] / mem_a
+    if wy:
+        parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f, eps), "r": f.r}
+    elif isinstance(q, HodlrMatrix):
+        parts = {"q": q, "r": r}
+    else:  # dense factors have no ranks
+        return out
+    s = {key: stats(h) for key, h in parts.items()}
+    out.update({f"rank_{key}": st["max_offdiag_rank"] for key, st in s.items()})
+    if isinstance(a, HodlrMatrix):
+        mem_a = stats(a)["memory_scalars"]
+        if wy:
+            out["mem_yt_rel"] = (s["y"]["memory_scalars"]
+                                 + s["t"]["memory_scalars"]) / mem_a
+        out["mem_q_rel"] = s["q"]["memory_scalars"] / mem_a
+        out["mem_r_rel"] = s["r"]["memory_scalars"] / mem_a
     return out
 
 
@@ -316,8 +317,7 @@ def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: in
         else:
             f = (cholqr if method == "cholqr" else cholqr2)(a, tc)
         rec.time_s = time.perf_counter() - start
-        m = metrics(a, f, eps=config.eps, estimate=estimate, compute_kappa=False,
-                    compute_ranks=method != "dense")
+        m = metrics(a, f, eps=config.eps, estimate=estimate)
         for key, val in m.items():
             setattr(rec, key, val)
     except (CholeskyBreakdownError, np.linalg.LinAlgError):
@@ -353,8 +353,8 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
 
 
 def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
-                    seed: int = 0, offdiag_rank: int = 1,
-                    absolute_eps: bool = False, estimate: bool = False) -> list[BenchRecord]:
+                    seed: int = 0, absolute_eps: bool = False,
+                    estimate: bool = False) -> list[BenchRecord]:
     """Run hqr over a list of truncation tolerances on the same matrix
     configuration, one bench cell per tolerance (kappa2 is not computed)."""
     if not len(eps_list):
@@ -362,9 +362,9 @@ def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
     records = []
     for eps in eps_list:
         config = BenchConfig(methods=("hqr",), sizes=(n,), seeds=(seed,), eps=eps,
-                             n_min=n_min, offdiag_rank=offdiag_rank, matrix=matrix,
-                             absolute_eps=absolute_eps, estimate=estimate)
-        a = gen_matrix(matrix, n, n_min, seed, offdiag_rank, eps, absolute_eps)
+                             n_min=n_min, matrix=matrix, absolute_eps=absolute_eps,
+                             estimate=estimate)
+        a = gen_matrix(matrix, n, n_min, seed, eps=eps, absolute_eps=absolute_eps)
         records.append(_run_cell(config, a, "hqr", n, seed, estimate or n > DENSE_LIMIT,
                                  None))
     return records
@@ -372,8 +372,3 @@ def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
 
 def records_to_csv(records) -> str:
     return "\n".join([CSV_HEADER] + [r.to_csv_row() for r in records]) + "\n"
-
-
-def write_csv(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(records_to_csv(records))

@@ -2,6 +2,8 @@
 and run the benchmark/tolerance-sweep experiments with CSV output."""
 
 import argparse
+import contextlib
+import math
 import sys
 
 from .bench import (
@@ -14,7 +16,7 @@ from .bench import (
     records_to_csv,
     run_bench,
     tolerance_sweep,
-    write_csv,
+    _kappa2,
 )
 from .core import check_finite, stats
 from .dense import check_tolerance
@@ -135,17 +137,16 @@ def _cmd_qr(args) -> int:
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")
     m = metrics(a, f, eps=args.eps, estimate=args.estimate)
+    m["kappa2"] = math.nan if args.estimate else _kappa2(a)
     for key in ("kappa2", "e_orth", "e_acc", "e_orth_bound", "e_acc_bound", "rank_y",
                 "rank_t", "rank_q", "rank_r", "mem_yt_rel", "mem_q_rel", "mem_r_rel"):
-        print(f"{key}={m.get(key, float('nan'))}")
+        print(f"{key}={m.get(key, math.nan)}")
     return 0
 
 
-def _emit(records, out) -> None:
-    if out is None:
-        sys.stdout.write(records_to_csv(records))
-    else:
-        write_csv(records, out)
+def _open_out(path):
+    # opened before the first cell, so an unwritable path costs no work
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
 def _cmd_bench(args) -> int:
@@ -154,23 +155,27 @@ def _cmd_bench(args) -> int:
         n_min=args.nmin, offdiag_rank=args.rank, matrix=args.matrix,
         absolute_eps=args.absolute_eps, estimate=args.estimate,
     )
-    _emit(run_bench(config), args.out)
+    with _open_out(args.out) as out:
+        out.write(records_to_csv(run_bench(config)))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    records = tolerance_sweep(args.matrix, args.eps_list, n=args.n,
-                              n_min=args.nmin, seed=args.seed,
-                              absolute_eps=args.absolute_eps,
-                              estimate=args.estimate)
-    _emit(records, args.out)
+    with _open_out(args.out) as out:
+        out.write(records_to_csv(tolerance_sweep(
+            args.matrix, args.eps_list, n=args.n, n_min=args.nmin, seed=args.seed,
+            absolute_eps=args.absolute_eps, estimate=args.estimate)))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"gen": _cmd_gen, "qr": _cmd_qr, "bench": _cmd_bench, "sweep": _cmd_sweep}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as err:  # a path that cannot be read or written
+        print(f"hodlrqr {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -150,9 +150,6 @@ class HodlrMatrix:
         """Row counts of the leaves."""
         return tuple(x.n for _, _, x in _nodes(self) if x.is_leaf)
 
-    def tree(self) -> PartitionTree:
-        return PartitionTree(self.level, self.leaf_sizes())
-
     def is_square(self) -> bool:
         """True when every leaf is square, so rows and columns share one tree."""
         return all(x.n == x.n_cols for _, _, x in _nodes(self) if x.is_leaf)

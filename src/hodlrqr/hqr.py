@@ -18,14 +18,12 @@ from .core import (
     LowRankBlock,
     TruncationControl,
     check_finite,
-    hodlr_identity,
     left_orthogonalize,
     _nodes,
     _sum_lowrank,
     _truncate_shared,
 )
 from .arith import (
-    add,
     apply_dense,
     hodlr_spectral_norm,
     multiply,
@@ -267,14 +265,18 @@ def apply_q(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
 def q_to_hodlr(f: HodlrQRFactors, eps: float) -> HodlrMatrix:
     """Materialize Q = I - Y T Y^T as a HODLR matrix, recompressed at eps.
 
-    Only needed for rank and memory comparisons; the WY pair (Y, T) is the
-    primary representation of Q.  The factors of a rectangular A, whose Y
-    and T have different trees, raise ValueError before any product.
+    The products Y T and (Y T) Y^T truncate each off-diagonal block once
+    at eps; their negation gets I added to its leaves, so any tree hqr
+    accepts works.  Only needed for rank and memory comparisons; the WY
+    pair (Y, T) is the primary representation of Q.  The factors of a
+    rectangular A, whose Y and T have different trees, raise ValueError
+    before any product.
     """
     if not f.y.is_square():
         raise ValueError("q_to_hodlr requires the factors of a square matrix")
     tc = TruncationControl(eps)
-    yt = multiply(f.y, f.t, tc)
-    yty = multiply(yt, transpose(f.y), tc)
-    identity = hodlr_identity(f.y.tree())
-    return add(identity, scale(yty, -1.0), tc)
+    q = scale(multiply(multiply(f.y, f.t, tc), transpose(f.y), tc), -1.0)
+    for _, _, x in _nodes(q):
+        if x.is_leaf:  # scale made each leaf a new array, so Y and T are untouched
+            x.dense += np.eye(x.n)
+    return q

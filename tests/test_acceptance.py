@@ -74,7 +74,7 @@ def test_criterion_2_orthogonality_envelope():
     for n in (1000, 2000, 4000):
         a = gen_random_hodlr(n, 250, 1, seed=0)
         f = hqr(a, 1e-10)
-        m = metrics(a, f, estimate=True, compute_ranks=False)
+        m = metrics(a, f, estimate=True)
         norm = converged_norm(a)
         results.append((n, m["e_orth"], m["e_acc"] / norm))
     elapsed = time.perf_counter() - start
@@ -97,8 +97,7 @@ def test_criterion_3_cauchy_robustness():
         if name == "a3":
             try:
                 q, r = cholqr(a, TruncationControl(1e-10 * norm))
-                cholqr_a3 = metrics(a, (q, r), estimate=True, compute_kappa=False,
-                                    compute_ranks=False)["e_orth"]
+                cholqr_a3 = metrics(a, (q, r), estimate=True)["e_orth"]
             except CholeskyBreakdownError:
                 cholqr_a3 = math.inf  # breakdown counts as failure
         rows[-1] = (name, m, norm)
@@ -131,11 +130,11 @@ def test_criterion_4_cholqr_degradation_law():
                        TruncationControl(eps))
         tc = TruncationControl(eps)
         f = hqr(a, eps)
-        e_hqr = metrics(a, f, compute_kappa=False, compute_ranks=False)["e_orth"]
+        e_hqr = metrics(a, f)["e_orth"]
         q1, r1 = cholqr(a, tc)
-        e_c1 = metrics(a, (q1, r1), compute_kappa=False, compute_ranks=False)["e_orth"]
+        e_c1 = metrics(a, (q1, r1))["e_orth"]
         q2, r2 = cholqr2(a, tc)
-        e_c2 = metrics(a, (q2, r2), compute_kappa=False, compute_ranks=False)["e_orth"]
+        e_c2 = metrics(a, (q2, r2))["e_orth"]
         rows.append((kappa, e_hqr, e_c1, e_c2))
     monotone = all(rows[i][2] <= rows[i + 1][2] for i in range(len(rows) - 1))
     separated = rows[-1][2] >= 1e2 * rows[-1][1]
@@ -202,7 +201,7 @@ def test_criterion_7_recompression_optimality():
 def test_criterion_8_rank_observation():
     a = gen_random_hodlr(1000, 250, 1, seed=0)
     f = hqr(a, 1e-10)
-    m = metrics(a, f, eps=1e-10, compute_kappa=False)
+    m = metrics(a, f, eps=1e-10)
     ok = m["rank_y"] <= m["rank_q"] and 1.5 <= m["mem_yt_rel"] <= 2.5
     report(ok, "criterion 8 (rank observation)",
            f"rank_Y={m['rank_y']} <= rank_Q={m['rank_q']}, "

@@ -19,7 +19,7 @@ from conftest import random_hodlr_pair
 
 
 def errors(a, q, r):
-    return metrics(a, (q, r), compute_kappa=False, compute_ranks=False)
+    return metrics(a, (q, r))
 
 
 def test_cholqr_on_identity():

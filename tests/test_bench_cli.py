@@ -116,7 +116,7 @@ def test_metrics_identity_factorization():
     from hodlrqr import build_partition, hodlr_identity
     a = hodlr_identity(build_partition(96, 24))
     f = hqr(a, 1e-14)
-    m = metrics(a, f, eps=1e-14, compute_kappa=False, compute_ranks=False)
+    m = metrics(a, f, eps=1e-14)
     u = np.finfo(float).eps
     assert m["e_orth"] <= 96 * u and m["e_acc"] <= 96 * u
 
@@ -126,8 +126,8 @@ def test_metrics_estimate_agrees_with_dense():
     # both measurement routes see the same quantity
     a = gen_cauchy_config("a2", n=512, seed=1, eps=1e-5, n_min=128)
     f = hqr(a, 1e-5)
-    exact = metrics(a, f, estimate=False, compute_kappa=False, compute_ranks=False)
-    est = metrics(a, f, estimate=True, compute_ranks=False)
+    exact = metrics(a, f, estimate=False)
+    est = metrics(a, f, estimate=True)
     assert est["e_orth"] == pytest.approx(exact["e_orth"], rel=5e-3)
     assert est["e_acc"] == pytest.approx(exact["e_acc"], rel=5e-3)
 
@@ -197,9 +197,9 @@ def test_tolerance_sweep_rows():
 @pytest.mark.parametrize("estimate", [False, True])
 def test_tolerance_sweep_row_matches_bench_row(matrix, estimate):
     config = BenchConfig(methods=("hqr",), sizes=(128,), seeds=(2,), eps=1e-8, n_min=32,
-                         offdiag_rank=2, matrix=matrix, estimate=estimate)
+                         matrix=matrix, estimate=estimate)
     bench_rec = run_bench(config)[0]
-    sweep_rec = tolerance_sweep(matrix, [1e-8], n=128, n_min=32, seed=2, offdiag_rank=2,
+    sweep_rec = tolerance_sweep(matrix, [1e-8], n=128, n_min=32, seed=2,
                                 estimate=estimate)[0]
     assert math.isnan(sweep_rec.kappa2)
     header = CSV_HEADER.split(",")
@@ -230,7 +230,7 @@ def test_csv_nan_spelling():
     assert "NaN" not in row
 
 
-def test_cli_gen_qr_round_trip(tmp_path):
+def test_cli_gen_qr_round_trip(tmp_path, capsys):
     matrix_path = tmp_path / "a.hdlr1"
     rc = main(["gen", "--matrix", "random", "--n", "200", "--nmin", "50",
                "--seed", "4", "--out", str(matrix_path)])
@@ -240,8 +240,12 @@ def test_cli_gen_qr_round_trip(tmp_path):
     assert hodlr_equal(a, gen_random_hodlr(200, 50, 1, seed=4))
 
     prefix = tmp_path / "fac"
+    capsys.readouterr()
     rc = main(["qr", str(matrix_path), "--eps", "1e-12", "--out-prefix", str(prefix)])
     assert rc == 0
+    printed = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+    # kappa2 is a property of A, computed once by the command itself
+    assert float(printed["kappa2"]) == pytest.approx(np.linalg.cond(to_dense(a)), rel=1e-12)
     y = read_hodlr(f"{prefix}.y.hdlr1")
     t = read_hodlr(f"{prefix}.t.hdlr1")
     r = read_hodlr(f"{prefix}.r.hdlr1")
@@ -309,6 +313,34 @@ def test_cli_qr_refuses_unusable_input_before_work(make, message, tmp_path, caps
     assert err.startswith("hodlrqr qr: ") and message in err
     assert not ran
     assert not list(tmp_path.glob("fac*.hdlr1"))
+
+
+@pytest.mark.parametrize("argv", [["bench", "--sizes", "64", "--nmin", "32"],
+                                  ["sweep", "--matrix", "random", "--n", "64", "--nmin", "32"]])
+def test_cli_unwritable_out_fails_before_any_cell(argv, tmp_path, capsys, monkeypatch):
+    ran = []
+    for name in ("run_bench", "tolerance_sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    rc = main(argv + ["--out", str(tmp_path / "missing" / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hodlrqr {argv[0]}: ") and "No such file" in err
+    assert not ran
+
+
+def test_cli_unwritable_matrix_or_factor_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    rc = main(["gen", "--n", "64", "--nmin", "32", "--out", str(missing / "a.hdlr1")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("hodlrqr gen: ")
+    matrix_path = tmp_path / "a.hdlr1"
+    assert main(["gen", "--n", "64", "--nmin", "32", "--out", str(matrix_path)]) == 0
+    capsys.readouterr()
+    rc = main(["qr", str(matrix_path), "--out-prefix", str(missing / "fac")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hodlrqr qr: ") and "No such file" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_bench_writes_csv(tmp_path, capsys):

@@ -385,11 +385,19 @@ def test_recompress_restores_doubled_factors(rng):
 
 
 def test_recompress_error_bound(rng):
-    from hodlrqr import add
+    # H1 + H2 with each pair of off-diagonal blocks recompressed once at eps
     h1, d1, tree = random_hodlr_pair(128, 16, rank=3, seed=1)
     h2, d2, _ = random_hodlr_pair(128, 16, rank=3, seed=2)
     eps = 1e-10 * np.linalg.norm(d1 + d2, 2)
-    summed = add(h1, h2, TruncationControl(eps))
+
+    def add(x1, x2):
+        if x1.is_leaf:
+            return HodlrMatrix(dense=x1.dense + x2.dense)
+        return HodlrMatrix(a11=add(x1.a11, x2.a11), a22=add(x1.a22, x2.a22),
+                           a12=sum_lowrank([x1.a12, x2.a12], TruncationControl(eps)),
+                           a21=sum_lowrank([x1.a21, x2.a21], TruncationControl(eps)))
+
+    summed = add(h1, h2)
     assert stats(summed)["max_offdiag_rank"] <= 6
     assert np.linalg.norm(to_dense(summed) - (d1 + d2), 2) <= tree.level * eps
 

@@ -30,7 +30,7 @@ from hodlrqr import (
 )
 from hodlrqr import arith, core
 from hodlrqr.arith import apply_dense
-from hodlrqr.bench import gen_matrix, gen_random_hodlr
+from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics
 from hodlrqr.dense import truncation_rank
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
+    nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
     structured_y_dense,
@@ -252,13 +253,27 @@ def test_q_to_hodlr_zero_y():
     assert np.array_equal(to_dense(q), np.eye(64))
 
 
-def test_q_to_hodlr_dense_check(rng):
+def test_q_to_hodlr_dense_check(rng, monkeypatch):
     n = 512
     h, dense, tree = random_hodlr_pair(n, 64, rank=1, seed=39)
     eps = 1e-12
     f = hqr(h, eps)
+    calls = count_calls(monkeypatch, core, "truncate_lowrank")
     q_h = q_to_hodlr(f, eps)
     assert np.linalg.norm(to_dense(q_h) - dense_q(f), 2) <= 10 * tree.level * eps
+    # the truncations of the two products Y T and (Y T) Y^T, and no others:
+    # adding I to the leaves recompresses no off-diagonal block a second time
+    assert len(calls) == 4 * (2 ** tree.level - 1)
+
+
+def test_q_to_hodlr_and_metrics_on_an_unbalanced_tree(rng):
+    h = nested_hodlr(rng, [(4, 4), [(3, 3), (2, 2)]])
+    f = hqr(h, 1e-12)
+    assert np.linalg.norm(to_dense(q_to_hodlr(f, 1e-12)) - dense_q(f), 2) <= 1e-14
+    m = metrics(h, f, eps=1e-12)
+    for key in ("e_orth", "e_acc", "rank_y", "rank_t", "rank_q", "rank_r"):
+        assert np.isfinite(m[key]), key
+    assert m["e_orth"] <= 1e-14 and m["e_acc"] <= 1e-13
 
 
 def test_hqr_robust_to_ill_conditioning():
