@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .arith import (
     CholeskyBreakdownError,
@@ -181,6 +181,8 @@ def gen_matrix(kind: str, n: int, n_min: int = 250, seed: int = 0, offdiag_rank:
 ESTIMATE_BLOCK = 8
 ESTIMATE_SEED = 0
 _ESTIMATE = dict(max_iter=30, tol=1e-6, with_bound=True)
+# Dense mode: seed of the Lanczos start vector in _symmetric_norm.
+LANCZOS_SEED = 0x5EED
 
 
 def _linear_operator(n: int, fwd, bwd) -> LinearOperator:
@@ -201,9 +203,22 @@ def _operator(x) -> LinearOperator:
 
 
 def _symmetric_norm(g: np.ndarray) -> float:
-    """||G||_2 of a symmetric matrix from its extreme eigenvalues."""
-    lam = scipy.linalg.eigvalsh(g)
-    return float(max(-lam[0], lam[-1]))
+    """||G||_2 of a symmetric matrix: its largest |eigenvalue|, from an
+    implicitly restarted Lanczos run (ARPACK) converged to roundoff.
+
+    The start vector is seeded, so equal inputs give bit-identical norms.
+    A zero G (ARPACK refuses it) and n <= 2 (too small for ARPACK) are
+    answered directly.
+    """
+    n = g.shape[0]
+    if not g.any():
+        return 0.0
+    if n <= 2:
+        lam = scipy.linalg.eigvalsh(g)
+        return float(max(-lam[0], lam[-1]))
+    lam = eigsh(g, k=1, which="LM", tol=0, return_eigenvectors=False,
+                v0=np.random.default_rng(LANCZOS_SEED).standard_normal(n))
+    return float(abs(lam[0]))
 
 
 def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
@@ -212,9 +227,10 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
     decomposition whose three factors are given as operators.
 
     Dense mode densifies Q and Q R - A by applying them to the identity
-    (allowed up to DENSE_LIMIT) and takes exact norms from symmetric
-    eigenvalue problems: the extreme eigenvalues of Q^T Q - I, the largest
-    of E^T E for E = Q R - A.  Estimate mode never forms a matrix: each
+    (allowed up to DENSE_LIMIT) and takes the norms of Q^T Q - I and of
+    E^T E, E = Q R - A, as their largest |eigenvalue| from a seeded
+    Lanczos run converged to roundoff (_symmetric_norm), not from a full
+    O(n^3) eigendecomposition.  Estimate mode never forms a matrix: each
     error operator gets a block power-iteration estimate (a lower bound,
     stopped at the first round that does not raise it by a relative 1e-6)
     and its Gaussian a-posteriori bound from round 1, reported as
@@ -248,14 +264,14 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
 
     ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
     Cholesky-based baselines, or dense arrays).  e_orth and e_acc come
-    from qr_errors: exact norms of the densified errors, or with
-    ``estimate`` block power-iteration estimates next to their bounds
-    e_orth_bound and e_acc_bound.  Factors in HODLR form also get their
-    maximal off-diagonal ranks and, for a HODLR a, their stored scalars
-    relative to a: Y, T, Q and R for WY factors, whose Q is materialized
-    at ``eps`` for its statistics, Q and R for an explicit pair.  kappa2
-    belongs to a alone; run_bench and ``hodlrqr qr`` compute it once per
-    matrix with _kappa2.
+    from qr_errors: norms of the densified errors from a seeded Lanczos
+    run converged to roundoff, or with ``estimate`` block power-iteration
+    estimates next to their bounds e_orth_bound and e_acc_bound.  Factors
+    in HODLR form also get their maximal off-diagonal ranks and, for a
+    HODLR a, their stored scalars relative to a: Y, T, Q and R for WY
+    factors, whose Q is materialized at ``eps`` for its statistics, Q and
+    R for an explicit pair.  kappa2 belongs to a alone; run_bench and
+    ``hodlrqr qr`` compute it once per matrix with _kappa2.
     A must be square: any other shape raises ValueError before any product.
     """
     shape = (a.n, a.n_cols) if isinstance(a, HodlrMatrix) else np.shape(a)

@@ -114,7 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(*paths) -> None:
+    """Raise OSError unless every output path can be opened for writing.
+    Called before the work, so a bad path costs nothing; appending leaves
+    an existing file as it is until it is overwritten."""
+    for path in paths:
+        with open(path, "ab"):
+            pass
+
+
 def _cmd_gen(args) -> int:
+    _check_writable(args.out)
     h = gen_matrix(args.matrix, args.n, args.nmin, args.seed, args.rank, args.eps,
                    args.absolute_eps)
     write_hodlr(h, args.out)
@@ -125,17 +135,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qr(args) -> int:
-    try:  # an unusable input is refused before hqr runs and any factor file is written
+    paths = {name: f"{args.out_prefix}.{name}.hdlr1" for name in "ytr"}
+    try:  # an unusable input or output path is refused before hqr runs
         a = read_hodlr(args.input)
         check_finite("hodlrqr qr", a)
         if not args.estimate:
             check_dense_size(a.n)
+        _check_writable(*paths.values())
     except (OSError, FormatError, CorruptionError, ValueError) as err:
         print(f"hodlrqr qr: {err}", file=sys.stderr)
         return 2
     f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
-        write_hodlr(factor, f"{args.out_prefix}.{name}.hdlr1")
+        write_hodlr(factor, paths[name])
     m = metrics(a, f, eps=args.eps, estimate=args.estimate)
     m["kappa2"] = math.nan if args.estimate else _kappa2(a)
     for key in ("kappa2", "e_orth", "e_acc", "e_orth_bound", "e_acc_bound", "rank_y",

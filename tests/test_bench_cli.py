@@ -328,19 +328,26 @@ def test_cli_unwritable_out_fails_before_any_cell(argv, tmp_path, capsys, monkey
     assert not ran
 
 
-def test_cli_unwritable_matrix_or_factor_path_exits_2(tmp_path, capsys):
-    missing = tmp_path / "missing"
-    rc = main(["gen", "--n", "64", "--nmin", "32", "--out", str(missing / "a.hdlr1")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("hodlrqr gen: ")
+def test_cli_unwritable_matrix_or_factor_path_exits_2(tmp_path, capsys, monkeypatch):
     matrix_path = tmp_path / "a.hdlr1"
     assert main(["gen", "--n", "64", "--nmin", "32", "--out", str(matrix_path)]) == 0
     capsys.readouterr()
+    # the paths are checked before any matrix is generated or factored
+    ran = []
+    for name in ("gen_matrix", "hqr"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    missing = tmp_path / "missing"
+    rc = main(["gen", "--n", "64", "--nmin", "32", "--out", str(missing / "a.hdlr1")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hodlrqr gen: ") and "No such file" in captured.err
     rc = main(["qr", str(matrix_path), "--out-prefix", str(missing / "fac")])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("hodlrqr qr: ") and "No such file" in captured.err
     assert captured.out == ""
+    assert not ran
+    assert not list(tmp_path.rglob("fac*.hdlr1"))
 
 
 def test_cli_bench_writes_csv(tmp_path, capsys):

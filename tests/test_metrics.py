@@ -1,9 +1,12 @@
 """bench.metrics: estimate mode against the exact dense path, the dense
-path against an independent dense computation, and per-matrix work in
-run_bench."""
+path against an independent dense computation, its Lanczos norms against
+full eigenvalue decompositions, and per-matrix work in run_bench."""
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hodlrqr import (
     CholeskyBreakdownError,
@@ -115,3 +118,88 @@ def test_metrics_refuses_a_rectangular_a(estimate, hodlr):
     msg = r"metrics requires a square matrix A, got shape \(400, 200\)"
     with pytest.raises(ValueError, match=msg):
         metrics(a if hodlr else d, f if hodlr else np.linalg.qr(d), estimate=estimate)
+
+
+def _eigvalsh_norm(g):
+    """Reference ||G||_2 of a symmetric G from all of its eigenvalues."""
+    lam = scipy.linalg.eigvalsh(g)
+    return float(max(-lam[0], lam[-1]))
+
+
+def _error_matrices(kind, n):
+    """The Q^T Q - I and scaled E^T E matrices that dense-mode qr_errors
+    hands to _symmetric_norm for hqr and cholqr2 on one matrix."""
+    a = (gen_random_hodlr(n, 64, 1, seed=2) if kind == "random"
+         else gen_cauchy_config(kind.partition(":")[2], n=n, seed=2, eps=1e-10, n_min=64))
+    factors = [hqr(a, 1e-10)]
+    try:
+        factors.append(cholqr2(a, TruncationControl(1e-10 * hodlr_spectral_norm(a))))
+    except CholeskyBreakdownError:
+        assert kind == "cauchy:a3"
+    seen = []
+    real = bench._symmetric_norm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_symmetric_norm", lambda g: seen.append(g) or real(g))
+        for f in factors:
+            metrics(a, f)
+    assert len(seen) == 2 * len(factors)
+    return seen
+
+
+def _synthetic_matrices():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    u = rng.standard_normal(200)
+    sym = rng.standard_normal((3, 3))
+    return {
+        # |lambda_min| > lambda_max: the norm is the negative end
+        "negative-end": (q * np.r_[-5.0, np.linspace(0.0, 1.0, 199)]) @ q.T,
+        "rank-1": np.outer(u, u),
+        "n=1": np.array([[-3.0]]),
+        "n=2": np.array([[1.0, -4.0], [-4.0, 2.0]]),
+        "n=3": sym + sym.T,
+    }
+
+
+def _assert_norm_matches_eigvalsh(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = bench._symmetric_norm(g)
+        assert bench._symmetric_norm(g) == norm  # bit-identical on a second call
+    assert norm == pytest.approx(_eigvalsh_norm(g), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["random", "cauchy:a1", "cauchy:a2", "cauchy:a3"])
+def test_symmetric_norm_of_error_matrices_matches_eigvalsh(kind):
+    for g in _error_matrices(kind, 300):
+        _assert_norm_matches_eigvalsh(g)
+
+
+@pytest.mark.parametrize("name", list(_synthetic_matrices()))
+def test_symmetric_norm_of_synthetic_matrices_matches_eigvalsh(name):
+    _assert_norm_matches_eigvalsh(_synthetic_matrices()[name])
+
+
+def test_symmetric_norm_of_zero_matrix_is_exactly_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3, 50):
+            norm = bench._symmetric_norm(np.zeros((n, n)))
+            assert type(norm) is float and norm == 0.0
+
+
+@pytest.mark.parametrize("matrix", ["random", "cauchy:a2"])
+def test_run_bench_csv_changes_only_in_the_dense_norms(matrix, monkeypatch):
+    config = BenchConfig(methods=("hqr", "cholqr", "cholqr2", "dense"), sizes=(200,),
+                         seeds=(0, 1), n_min=50, matrix=matrix)
+    lanczos = bench.records_to_csv(bench.run_bench(config)).splitlines()
+    monkeypatch.setattr(bench, "_symmetric_norm", _eigvalsh_norm)
+    full = bench.records_to_csv(bench.run_bench(config)).splitlines()
+    assert lanczos[0] == full[0] and len(lanczos) == len(full) == 9
+    cols = lanczos[0].split(",")
+    for new_row, old_row in zip(lanczos[1:], full[1:]):
+        for col, new, old in zip(cols, new_row.split(","), old_row.split(",")):
+            if col in ("e_orth", "e_acc") and old != "nan":
+                assert float(new) == pytest.approx(float(old), rel=1e-12, abs=0), col
+            elif col != "time_s":
+                assert new == old, col
