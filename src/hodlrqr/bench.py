@@ -181,7 +181,7 @@ def gen_matrix(kind: str, n: int, n_min: int = 250, seed: int = 0, offdiag_rank:
 ESTIMATE_BLOCK = 8
 ESTIMATE_SEED = 0
 _ESTIMATE = dict(max_iter=30, tol=1e-6, with_bound=True)
-# Dense mode: seed of the Lanczos start vector in _symmetric_norm.
+# Dense mode: seed of the Lanczos start vector in _lanczos.
 LANCZOS_SEED = 0x5EED
 
 
@@ -202,33 +202,51 @@ def _operator(x) -> LinearOperator:
     return aslinearoperator(np.asarray(x, dtype=float))
 
 
-def _symmetric_norm(g: np.ndarray) -> float:
-    """||G||_2 of a symmetric matrix: its largest |eigenvalue|, from an
-    implicitly restarted Lanczos run (ARPACK) converged to roundoff.
+def _dense(x) -> np.ndarray:
+    """hqr's WY factors (as Q), a HODLR matrix or a dense array as a dense
+    array: a HODLR matrix through to_dense, Q = I - Y (T Y_d^T) from
+    Y_d = to_dense(Y) through two HODLR products."""
+    if isinstance(x, HodlrQRFactors):
+        return np.eye(x.y.n) - apply_dense(x.y, apply_dense(x.t, to_dense(x.y).T))
+    if isinstance(x, HodlrMatrix):
+        return to_dense(x)
+    return np.asarray(x, dtype=float)
 
-    The start vector is seeded, so equal inputs give bit-identical norms.
-    A zero G (ARPACK refuses it) and n <= 2 (too small for ARPACK) are
-    answered directly.
+
+def _lanczos(op) -> float:
+    """The eigenvalue of largest magnitude of a symmetric matrix or
+    operator from an implicitly restarted Lanczos run (ARPACK) converged to
+    roundoff.  The start vector is seeded, so equal inputs give
+    bit-identical values."""
+    n = op.shape[0]
+    lam = eigsh(op, k=1, which="LM", tol=0, return_eigenvectors=False,
+                v0=np.random.default_rng(LANCZOS_SEED).standard_normal(n))
+    return float(lam[0])
+
+
+def _symmetric_norm(g: np.ndarray) -> float:
+    """||G||_2 of a symmetric matrix: its largest |eigenvalue|, from
+    _lanczos.  A zero G (ARPACK refuses it) and n <= 2 (too small for
+    ARPACK) are answered directly.
     """
-    n = g.shape[0]
     if not g.any():
         return 0.0
-    if n <= 2:
+    if g.shape[0] <= 2:
         lam = scipy.linalg.eigvalsh(g)
         return float(max(-lam[0], lam[-1]))
-    lam = eigsh(g, k=1, which="LM", tol=0, return_eigenvectors=False,
-                v0=np.random.default_rng(LANCZOS_SEED).standard_normal(n))
-    return float(abs(lam[0]))
+    return abs(_lanczos(g))
 
 
-def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
-              estimate: bool = False) -> dict:
+def qr_errors(a, q, r, estimate: bool = False) -> dict:
     """e_orth = ||Q^T Q - I||_2 and e_acc = ||Q R - A||_2 of a QR
-    decomposition whose three factors are given as operators.
+    decomposition; each factor is hqr's WY factors (as Q), a HODLR matrix
+    or a dense array.
 
-    Dense mode densifies Q and Q R - A by applying them to the identity
-    (allowed up to DENSE_LIMIT) and takes the norms of Q^T Q - I and of
-    E^T E, E = Q R - A, as their largest |eigenvalue| from a seeded
+    Dense mode (allowed up to DENSE_LIMIT) forms Q, R and A densely with
+    _dense, and E = Q R - A by applying Q to the dense R, so hqr's WY
+    factors cost five HODLR products on n columns and an explicit HODLR
+    pair one; no factor is applied to the identity.  The norms of
+    Q^T Q - I and of E^T E are their largest |eigenvalue| from a seeded
     Lanczos run converged to roundoff (_symmetric_norm), not from a full
     O(n^3) eigendecomposition.  Estimate mode never forms a matrix: each
     error operator gets a block power-iteration estimate (a lower bound,
@@ -236,11 +254,12 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
     and its Gaussian a-posteriori bound from round 1, reported as
     e_orth_bound and e_acc_bound (nan in dense mode).
     """
-    n = a.shape[0]
-    orth = q.H @ q - _linear_operator(n, lambda v: v, lambda v: v)
-    resid = q @ r - a
+    a_op, q_op, r_op = (_operator(x) for x in (a, q, r))
+    n = a_op.shape[0]
     out = {"e_orth_bound": math.nan, "e_acc_bound": math.nan}
     if estimate:
+        orth = q_op.H @ q_op - _linear_operator(n, lambda v: v, lambda v: v)
+        resid = q_op @ r_op - a_op
         rng = np.random.default_rng(ESTIMATE_SEED)
         for key, op in (("e_orth", orth), ("e_acc", resid)):
             out[key], out[f"{key}_bound"] = spectral_norm_estimate(
@@ -248,10 +267,9 @@ def qr_errors(a: LinearOperator, q: LinearOperator, r: LinearOperator,
                 start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
         return out
     check_dense_size(n)
-    eye = np.eye(n)
-    q_d = q.matmat(eye)
-    out["e_orth"] = _symmetric_norm(q_d.T @ q_d - eye)
-    e = resid.matmat(eye)
+    q_d = _dense(q)
+    out["e_orth"] = _symmetric_norm(q_d.T @ q_d - np.eye(n))
+    e = q_op.matmat(_dense(r)) - _dense(a)
     scale = float(np.max(np.abs(e)))  # keeps E^T E clear of under/overflow
     if scale > 0.0:
         e = e / scale
@@ -264,14 +282,18 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
 
     ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
     Cholesky-based baselines, or dense arrays).  e_orth and e_acc come
-    from qr_errors: norms of the densified errors from a seeded Lanczos
-    run converged to roundoff, or with ``estimate`` block power-iteration
-    estimates next to their bounds e_orth_bound and e_acc_bound.  Factors
+    from qr_errors: norms of the errors formed densely (five n-column
+    HODLR products for WY factors, one for an explicit HODLR pair) from a
+    seeded Lanczos run converged to roundoff, or with ``estimate`` block
+    power-iteration estimates next to their bounds e_orth_bound and
+    e_acc_bound.  Factors
     in HODLR form also get their maximal off-diagonal ranks and, for a
     HODLR a, their stored scalars relative to a: Y, T, Q and R for WY
     factors, whose Q is materialized at ``eps`` for its statistics, Q and
     R for an explicit pair.  kappa2 belongs to a alone; run_bench and
-    ``hodlrqr qr`` compute it once per matrix with _kappa2.
+    ``hodlrqr qr`` compute it once per matrix with _kappa2 (one QR and
+    two Lanczos runs, a relative O(kappa2 u) from the SVD value, inf for
+    an exact zero on R's diagonal).
     A must be square: any other shape raises ValueError before any product.
     """
     shape = (a.n, a.n_cols) if isinstance(a, HodlrMatrix) else np.shape(a)
@@ -279,7 +301,7 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
         raise ValueError(f"metrics requires a square matrix A, got shape {shape}")
     wy = isinstance(f, HodlrQRFactors)
     q, r = (f, f.r) if wy else f
-    out = qr_errors(_operator(a), _operator(q), _operator(r), estimate)
+    out = qr_errors(a, q, r, estimate)
     if wy:
         parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f, eps), "r": f.r}
     elif isinstance(q, HodlrMatrix):
@@ -299,8 +321,46 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
 
 
 def _kappa2(a) -> float:
+    """The 2-norm condition number sigma_max / sigma_min of a square A.
+
+    A is scaled by max|a_ij| (kappa2 does not depend on scale, and the
+    scaling keeps 1e+-200 inputs clear of over- and underflow) and reduced
+    to R by one Householder QR.  sigma_max^2 and 1/sigma_min^2 are the
+    largest eigenvalues of v -> R^T (R v) and of v -> R^-1 (R^-T v), each
+    from one seeded Lanczos run (_lanczos) with triangular solves; the
+    second operator is scaled by c^2, c the power of two nearest below
+    min|r_ii| >= sigma_min, which is exact and keeps it clear of overflow
+    up to kappa2 ~ 1e300.  The one O(n^3) step is the QR, several times
+    cheaper than the SVD behind np.linalg.cond.
+
+    Like np.linalg.cond, the method is backward stable: each moves
+    sigma_min by O(u ||A||_2), so the relative error of kappa2 is
+    O(kappa2 u), u the unit roundoff.  An exact zero on R's diagonal (a
+    zero matrix or a zero column, say) gives inf, as an exactly zero
+    sigma_min does for np.linalg.cond.  n <= 2 (too small for ARPACK)
+    falls back to np.linalg.cond.  Equal inputs give bit-identical values.
+    """
     a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
-    return float(np.linalg.cond(a_d, 2))
+    n = a_d.shape[0]
+    if n <= 2:
+        return float(np.linalg.cond(a_d, 2))
+    scale = float(np.max(np.abs(a_d)))
+    r = np.linalg.qr(a_d / scale if scale else a_d, mode="r")
+    diag = np.abs(np.diagonal(r))
+    if not diag.all():
+        return math.inf
+    c = math.ldexp(1.0, math.frexp(float(diag.min()))[1] - 1)
+
+    def inverse_gram(v):
+        w = scipy.linalg.solve_triangular(r, c * v, trans="T", check_finite=False)
+        return c * scipy.linalg.solve_triangular(r, w, check_finite=False)
+
+    def gram(v):
+        return r.T @ (r @ v)
+
+    big = _lanczos(_linear_operator(n, gram, gram))
+    small = _lanczos(_linear_operator(n, inverse_gram, inverse_gram))
+    return math.sqrt(big * small) / c
 
 
 @dataclass
@@ -345,8 +405,10 @@ def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: in
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """One record per (size, seed, method) cell, in config order.
 
-    kappa2 (dense mode only) and the CholQR truncation threshold depend
-    on the matrix alone and are computed once per generated matrix.
+    kappa2 (dense mode only; _kappa2, a relative O(kappa2 u) from the
+    SVD value, inf for an exact zero on R's diagonal) and the CholQR
+    truncation threshold depend on the matrix alone and are computed
+    once per generated matrix.
     Breakdown failures are recorded as rows with nan metrics and the
     failed flag set rather than skipped.
     """

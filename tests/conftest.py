@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,17 +94,27 @@ def nested_hodlr(rng, shape, rank=1):
 
 
 def count_calls(monkeypatch, module, name):
-    """Replace module.name by a wrapper that appends to the returned list
-    on every call."""
+    """Replace module.name by a wrapper that appends the positional
+    arguments of every call to the returned list."""
     calls = []
     inner = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_calls_everywhere(monkeypatch, module, name) -> list:
+    """count_calls on module.name and on every hodlrqr module that imported
+    the same function by name; one list per binding."""
+    func = getattr(module, name)
+    bound = [mod for key, mod in sorted(sys.modules.items())
+             if (key == "hodlrqr" or key.startswith("hodlrqr."))
+             and getattr(mod, name, None) is func]
+    return [count_calls(monkeypatch, mod, name) for mod in bound]
 
 
 def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):

@@ -10,6 +10,7 @@ import pytest
 from hodlrqr import (
     HodlrMatrix,
     LowRankBlock,
+    arith,
     bench,
     build_partition,
     cli,
@@ -34,6 +35,8 @@ from hodlrqr.bench import (
     tolerance_sweep,
 )
 from hodlrqr.cli import main
+
+from conftest import count_calls_everywhere
 
 
 def hodlr_equal(h1, h2):
@@ -136,8 +139,12 @@ def test_metrics_size_limit_error(monkeypatch):
     a = gen_random_hodlr(128, 32, seed=0)
     f = hqr(a, 1e-12)
     monkeypatch.setattr(bench, "DENSE_LIMIT", 64)
+    # refused before anything is densified or multiplied
+    calls = (count_calls_everywhere(monkeypatch, arith, "apply_dense")
+             + count_calls_everywhere(monkeypatch, bench, "to_dense"))
     with pytest.raises(ValueError, match="--estimate"):
         metrics(a, f, estimate=False)
+    assert not any(calls)
 
 
 def test_run_bench_cardinality_and_header():

@@ -1,7 +1,9 @@
 """bench.metrics: estimate mode against the exact dense path, the dense
 path against an independent dense computation, its Lanczos norms against
-full eigenvalue decompositions, and per-matrix work in run_bench."""
+full eigenvalue decompositions, its HODLR product count, kappa2 against
+the SVD, and per-matrix work in run_bench."""
 
+import math
 import warnings
 
 import numpy as np
@@ -17,10 +19,16 @@ from hodlrqr import (
     hqr,
     to_dense,
 )
-from hodlrqr import bench
-from hodlrqr.bench import BenchConfig, gen_cauchy_config, gen_random_hodlr, metrics
+from hodlrqr import arith, bench
+from hodlrqr.bench import (
+    BenchConfig,
+    gen_cauchy_config,
+    gen_matrix,
+    gen_random_hodlr,
+    metrics,
+)
 
-from conftest import gen_random_rect_dense
+from conftest import count_calls_everywhere, gen_random_rect_dense
 
 # Estimated e_orth and e_acc lie within this factor of the dense values.
 # For a fixed operator the block estimate is a lower bound on its norm; at
@@ -203,3 +211,137 @@ def test_run_bench_csv_changes_only_in_the_dense_norms(matrix, monkeypatch):
                 assert float(new) == pytest.approx(float(old), rel=1e-12, abs=0), col
             elif col != "time_s":
                 assert new == old, col
+
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _full_products(calls, n) -> int:
+    """How many of the recorded apply_dense calls act on n columns."""
+    return sum(np.ndim(x) == 2 and np.shape(x)[1] == n
+               for binding in calls for _, x, *_ in binding)
+
+
+@pytest.mark.parametrize("method", ["hqr", "cholqr2"])
+def test_dense_metrics_hodlr_product_count(method, monkeypatch):
+    # WY factors: two products form Q = I - Y (T Y_d^T), three apply Q to
+    # the dense R; an explicit HODLR pair: one applies Q to the dense R
+    n = 256
+    a = gen_random_hodlr(n, 64, 1, seed=6)
+    f = (hqr(a, 1e-10) if method == "hqr"
+         else cholqr2(a, TruncationControl(1e-10 * hodlr_spectral_norm(a))))
+    calls = count_calls_everywhere(monkeypatch, arith, "apply_dense")
+    metrics(a, f)
+    assert _full_products(calls, n) <= (5 if method == "hqr" else 1)
+
+
+def _identity_densify(x) -> np.ndarray:
+    """The densification that dense-mode metrics replaced: the factor's
+    operator applied to the identity, through n-column HODLR products."""
+    op = bench._operator(x)
+    return op.matmat(np.eye(op.shape[0]))
+
+
+def _svd_kappa2(a) -> float:
+    return float(np.linalg.cond(to_dense(a) if isinstance(a, bench.HodlrMatrix) else a, 2))
+
+
+# Each of the two kappa2 methods is backward stable: its singular values
+# are those of A + dA with ||dA||_2 <= sqrt(n) u ||A||_2 (the usual
+# growth of rounding errors in Householder reductions), which moves each
+# sigma by at most that much (Weyl).  So each kappa2 is off by a relative
+# sqrt(n) u (1 + kappa2) <= 2 sqrt(n) kappa2 u, and the two differ by at
+# most 4 sqrt(n) kappa2 u.
+def kappa2_bound(kappa, n) -> float:
+    return 4 * math.sqrt(n) * kappa * U
+
+
+# Dense-mode e_orth and e_acc (relative to ||A||_2) move by at most this
+# many u from the identity-product densification.  Both routes sum the
+# same terms, to_dense instead of products on the identity, so a dense
+# entry moves at most by the rounding of its few-term low-rank sum, about
+# u |entry|.  With entries of Q of size 1/sqrt(n), such an n x n change
+# has 2-norm about 2u (the semicircle edge 2 sqrt(n) rms), and both
+# Q^T dQ and dQ^T Q enter Q^T Q - I: 4u.  E = Q R - A gathers the same
+# moves in Q, R and A relative to ||A||_2.
+NORM_MOVE = 4
+
+
+@pytest.mark.parametrize("matrix", ["random", "cauchy:a2"])
+def test_run_bench_csv_moves_only_by_the_new_kappa2_and_densification(matrix, monkeypatch):
+    config = BenchConfig(methods=("hqr", "cholqr", "cholqr2", "dense"), sizes=(200,),
+                         seeds=(0, 1), n_min=50, matrix=matrix)
+    new = bench.records_to_csv(bench.run_bench(config)).splitlines()
+    with monkeypatch.context() as mp:
+        mp.setattr(bench, "_kappa2", _svd_kappa2)
+        mp.setattr(bench, "_dense", _identity_densify)
+        old = bench.records_to_csv(bench.run_bench(config)).splitlines()
+    assert new[0] == old[0] and len(new) == len(old) == 9
+    cols = new[0].split(",")
+    norm_a = {seed: np.linalg.norm(to_dense(gen_matrix(matrix, 200, 50, seed)), 2)
+              for seed in (0, 1)}
+    for new_row, old_row in zip(new[1:], old[1:]):
+        new_v, old_v = dict(zip(cols, new_row.split(","))), dict(zip(cols, old_row.split(",")))
+        for col in cols:
+            if col == "kappa2":
+                kappa = float(old_v[col])
+                assert abs(float(new_v[col]) - kappa) <= kappa * kappa2_bound(kappa, 200)
+            elif col in ("e_orth", "e_acc") and old_v[col] != "nan":
+                scale = norm_a[int(old_v["seed"])] if col == "e_acc" else 1.0
+                move = abs(float(new_v[col]) - float(old_v[col])) / scale
+                assert move <= NORM_MOVE * U, (col, old_v["method"], move / U)
+            elif col != "time_s":
+                assert new_v[col] == old_v[col], col
+
+
+@pytest.mark.parametrize("kind", ["random", "cauchy:a1", "cauchy:a2", "cauchy:a3"])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_kappa2_matches_svd_condition_number(kind, n):
+    a = gen_matrix(kind, n, 250, seed=0)
+    expected = _svd_kappa2(a)
+    got = bench._kappa2(a)
+    assert abs(got - expected) <= expected * kappa2_bound(expected, n), (got, expected)
+
+
+def _checked_kappa2(a) -> float:
+    """_kappa2 of a, with every warning an error and a second call
+    required to give the bit-identical value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = bench._kappa2(a)
+        assert type(kappa) is float and bench._kappa2(a) == kappa
+    return kappa
+
+
+def test_kappa2_of_exact_zero_on_the_diagonal_of_r_is_inf():
+    rng = np.random.default_rng(8)
+    zero_col = rng.standard_normal((40, 40))
+    zero_col[:, 17] = 0.0
+    assert np.linalg.cond(np.zeros((40, 40))) == math.inf
+    for a in (np.zeros((40, 40)), zero_col, np.diag([3.0, 2.0, 0.0, 1.0])):
+        assert _checked_kappa2(a) == math.inf
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_kappa2_does_not_depend_on_scale(factor):
+    rng = np.random.default_rng(9)
+    for a in (rng.standard_normal((60, 60)), np.diag([1.0] * 5 + [1e-3] * 5)):
+        assert _checked_kappa2(factor * a) == pytest.approx(_checked_kappa2(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [np.array([[2.0]]), np.array([[0.0]]),
+                               np.array([[1.0, 2.0], [3.0, 4.0]]),
+                               np.array([[1.0, 2.0], [2.0, 4.0]])])
+def test_kappa2_of_n_at_most_2_is_the_svd_value(a):
+    assert _checked_kappa2(a) == float(np.linalg.cond(a, 2))
+
+
+def test_kappa2_of_exact_cases():
+    q, _ = np.linalg.qr(np.random.default_rng(10).standard_normal((80, 80)))
+    assert _checked_kappa2(np.eye(50)) == pytest.approx(1.0, rel=1e-14, abs=0)
+    assert _checked_kappa2(q) == pytest.approx(1.0, rel=1e-14, abs=0)
+    assert _checked_kappa2(np.diag([1.0] * 5 + [1e-3] * 5)) == pytest.approx(
+        1e3, rel=1e-14, abs=0)
+    # far past 1/u, where 1/sigma_min^2 alone would overflow
+    assert _checked_kappa2(np.diag([1.0, 1.0, 1e-200])) == pytest.approx(
+        1e200, rel=1e-14, abs=0)
