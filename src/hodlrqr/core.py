@@ -216,10 +216,9 @@ def compress_block(block: np.ndarray, tc: TruncationControl) -> LowRankBlock:
     n_rows, n_cols = block.shape
     if min(n_rows, n_cols) == 0:
         return LowRankBlock.zero(n_rows, n_cols)
-    res = svd(block)
-    k = truncation_rank(res.sigma, tc.eps)
-    return LowRankBlock(res.U[:, :k].copy(),
-                        res.sigma[:k, None] * res.V[:, :k].T,
+    u, sigma, v = svd(block)
+    k = truncation_rank(sigma, tc.eps)
+    return LowRankBlock(u[:, :k].copy(), sigma[:k, None] * v[:, :k].T,
                         left_orthogonal=True)
 
 
@@ -271,9 +270,9 @@ def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[Lo
 
 def _cores(lefts, r2: np.ndarray, tc: TruncationControl):
     # U_k, S_k, V_k of each core C R2^T, (Q1, C) in lefts, truncated at tc
-    for core in (svd(c @ r2.T) for _, c in lefts):
-        k = truncation_rank(core.sigma, tc.eps)
-        yield core.U[:, :k], core.sigma[:k], core.V[:, :k]
+    for u, sigma, v in (svd(c @ r2.T) for _, c in lefts):
+        k = truncation_rank(sigma, tc.eps)
+        yield u[:, :k], sigma[:k], v[:, :k]
 
 
 def sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
@@ -323,9 +322,3 @@ def check_finite(what: str, *operands) -> None:
                      [node.a12.L, node.a12.R, node.a21.L, node.a21.R])]
         if not all(np.isfinite(p).all() for p in parts):
             raise ValueError(f"{what} input has non-finite entries (inf or nan)")
-
-
-def hodlr_identity(tree: PartitionTree) -> HodlrMatrix:
-    """Identity matrix in HODLR form (rank-0 off-diagonal blocks)."""
-    return _build(tree, tree, lambda i, j, r, c: np.eye(r),
-                  lambda i, j, r, c: LowRankBlock.zero(r, c))

@@ -5,30 +5,21 @@ block power-iteration spectral-norm estimates.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Factors of M = U @ diag(sigma) @ V.T with sigma nonincreasing."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-
-def svd(m: np.ndarray) -> SvdResult:
-    """Economy SVD; falls back to the QR-iteration LAPACK driver if the
-    default divide-and-conquer scheme fails to converge."""
+def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD M = U @ diag(sigma) @ V.T, returned as (U, sigma, V)
+    with sigma nonincreasing; falls back to the QR-iteration LAPACK driver
+    if the default divide-and-conquer scheme fails to converge."""
     m = np.asarray(m, dtype=float)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         u, s, vt = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    return SvdResult(U=u, sigma=s, V=vt.T)
+    return u, s, vt.T
 
 
 def check_tolerance(eps: float) -> float:

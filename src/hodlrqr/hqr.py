@@ -35,39 +35,6 @@ from .wy import block_qr
 
 
 @dataclass
-class StructuredColumn:
-    """Recursion input [a_tilde; b; c]: an m x n HODLR block with leaves
-    m_j x n_j, m_j >= n_j, a factorized p x n
-    low-rank block and r2 x n dense coupling rows.  b and c may both be
-    empty."""
-
-    a_tilde: HodlrMatrix
-    b: LowRankBlock
-    c: np.ndarray
-
-    def __post_init__(self):
-        m = self.a_tilde.n_cols
-        self.c = np.asarray(self.c, dtype=float)
-        if self.b.n_cols != m:
-            raise ValueError("column counts of a_tilde and b must agree")
-        if self.c.ndim != 2 or self.c.shape[1] != m:
-            raise ValueError("c must be a 2-D array with as many columns as a_tilde")
-
-    @staticmethod
-    def whole_matrix(a: HodlrMatrix) -> "StructuredColumn":
-        return StructuredColumn(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)))
-
-
-@dataclass
-class StructuredY:
-    """Mirror of StructuredColumn for the reflector factor Y."""
-
-    y_a: HodlrMatrix
-    y_b: LowRankBlock
-    y_c: np.ndarray
-
-
-@dataclass
 class HodlrQRFactors:
     """A ~= (I - Y T Y^T) P^T [R; 0] for an m x n HODLR matrix A.
 
@@ -104,25 +71,9 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
         eps_abs, eps_plain = eps, eps / norm if norm > 0 else 0.0
     else:
         eps_abs, eps_plain = eps * norm, eps
-    y, t, r = _hqr_rec(StructuredColumn.whole_matrix(a), np.zeros((a.n, 0)),
-                       np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
-    return HodlrQRFactors(y=y.y_a, t=t, r=r)
-
-
-def hqr_rec(col: StructuredColumn, eps_abs: float,
-            eps_plain: float) -> tuple[StructuredY, HodlrMatrix, HodlrMatrix]:
-    """One recursion step on a structured block column.
-
-    Returns (Y, T, R) with Y mirroring the column structure, and T, R
-    n x n upper triangular HODLR matrices of the column's level over its
-    column tree.  With rectangular leaves the triangle of leaf j sits on
-    its first n_j rows (see ``triangle_rows``): R holds those rows of the
-    reduced column and every other row of A_tilde is reduced to zero.
-    A leaf wider than tall raises ValueError before any QR.
-    """
-    a = col.a_tilde
-    _check_leaves(a)
-    return _hqr_rec(col, np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
+    y, _, _, t, r = _hqr_rec(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)),
+                             np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
+    return HodlrQRFactors(y=y, t=t, r=r)
 
 
 def _check_leaves(h: HodlrMatrix) -> None:
@@ -132,48 +83,58 @@ def _check_leaves(h: HodlrMatrix) -> None:
 
 
 def triangle_rows(h: HodlrMatrix) -> np.ndarray:
-    """Row indices of h that hold R after hqr_rec: the first n_j rows of
+    """Row indices of h that hold R after hqr: the first n_j rows of
     every leaf j, in leaf order."""
     return np.concatenate([i + np.arange(x.n_cols) for i, _, x in _nodes(h) if x.is_leaf])
 
 
-def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float,
-             eps_plain: float) -> tuple[StructuredY, HodlrMatrix, HodlrMatrix]:
-    """hqr_rec on the column [A_tilde + u v^T; B; C].
+def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: np.ndarray,
+             eps_abs: float, eps_plain: float
+             ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
+    """One recursion step on the structured block column [A + u v^T; B; C]:
+    an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, a pending
+    pair (u, v), a factorized p x n low-rank block B and r2 x n dense
+    coupling rows C.  B, C and the pending pair may be empty.
+
+    Returns (Y_A, Y_B, Y_C, T, R): the three parts of Y mirror the column,
+    and T, R are n x n upper triangular HODLR matrices over A's column
+    tree.  With rectangular leaves the triangle of leaf j sits on its first
+    n_j rows (see ``triangle_rows``): R holds those rows of the reduced
+    column and every other row of A is reduced to zero.
 
     The update -Y21 S of A22 travels down as one pending pair (u, v),
     truncated at eps_abs except above a leaf: the leaves add it densely
     before their QR, each A21 joins it in the truncated sum that becomes
     the child's B, and each A12 takes it as extra columns.  No A22 subtree
     is copied.  A frame keeps alive only what later steps read: no block of
-    Y, T or R, nor its y_c, is a view of a larger array; its column, rows
+    Y, T or R, nor its Y_C, is a view of a larger array; its C, rows
     [B_R; C] and A21 join go before the second child, the pending pair after.
     """
-    b = left_orthogonalize(col.b)
-    a_tilde = col.a_tilde
-    m = a_tilde.n
+    b = left_orthogonalize(b)
+    m = a.n
     k_b = b.rank
-    # compressed rows below A_tilde: [B_R; C]
-    rows = np.vstack([b.R, col.c])
+    # compressed rows below A: [B_R; C]
+    rows = np.vstack([b.R, c])
 
-    if a_tilde.is_leaf:
+    if a.is_leaf:
         # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
-        wy, r_dense = block_qr(np.vstack([a_tilde.dense + u @ v.T, rows]))
-        y_b = LowRankBlock(b.L, wy.Y[m:m + k_b].copy(), b.left_orthogonal)
-        return (StructuredY(HodlrMatrix(dense=wy.Y[:m].copy()), y_b, wy.Y[m + k_b:].copy()),
-                HodlrMatrix(dense=wy.T), HodlrMatrix(dense=r_dense))
+        y, t, r = block_qr(np.vstack([a.dense + u @ v.T, rows]))
+        return (HodlrMatrix(dense=y[:m].copy()),
+                LowRankBlock(b.L, y[m:m + k_b].copy(), b.left_orthogonal),
+                y[m + k_b:].copy(), HodlrMatrix(dense=t), HodlrMatrix(dense=r))
 
-    a11, a22 = a_tilde.a11, a_tilde.a22
+    a11, a22 = a.a11, a.a22
     m1, n1 = a11.n, a11.n_cols
     tc_abs = TruncationControl(eps_abs)
     # first block column [A11 + u1 v1^T; A21 + u2 v1^T; rows1] has the same
     # structure one level down
-    a21 = a_tilde.a21
+    a21 = a.a21
     if u.shape[1]:
         a21 = _sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
-    y1, t1, r11 = _hqr_rec(StructuredColumn(a11, a21, rows[:, :n1]),
-                           u[:m1], v[:n1], eps_abs, eps_plain)
-    a12_upd, pending, rows2 = _update_second_column(a_tilde, u, v, rows, y1, t1, tc_abs)
+    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], u[:m1], v[:n1],
+                                       eps_abs, eps_plain)
+    a12_upd, pending, rows2 = _update_second_column(a, u, v, rows, y11, y21, y1_c, t1,
+                                                    tc_abs)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
     # block column but not in the second: they join it as its b
     b2 = LowRankBlock.zero(0, a22.n_cols)
@@ -182,51 +143,51 @@ def _hqr_rec(col: StructuredColumn, u: np.ndarray, v: np.ndarray, eps_abs: float
         rest = np.setdiff1d(np.arange(m1), tri)
         b2 = LowRankBlock(a12_upd.L[rest], a12_upd.R)
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
-    del col, rows, a21  # not read below: they would stay alive through the second child
-    y2, t2, r22 = _hqr_rec(StructuredColumn(a22, b2, rows2),
-                           pending.L, pending.R.T, eps_abs, eps_plain)
+    del c, rows, a21  # not read below: they would stay alive through the second child
+    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending.L, pending.R.T,
+                                        eps_abs, eps_plain)
     del pending
 
     # coupling block of T, truncated at the plain tolerance
-    y21, y12 = y1.y_b, LowRankBlock.zero(m1, a22.n_cols)
-    terms = [LowRankBlock(y21.R.T, apply_dense(y2.y_a, y21.L, trans=True).T),
-             LowRankBlock(y1.y_c.T, y2.y_c)]
-    if m1 > n1:  # Y12 is the second column's y_b, placed on the rows of b2
-        y12_l = np.zeros((m1, y2.y_b.rank))
-        y12_l[rest] = y2.y_b.L
-        y12 = LowRankBlock(y12_l, y2.y_b.R, y2.y_b.left_orthogonal)
-        terms.append(LowRankBlock(apply_dense(y1.y_a, y12_l, trans=True), y12.R))
+    y12 = LowRankBlock.zero(m1, a22.n_cols)
+    terms = [LowRankBlock(y21.R.T, apply_dense(y22, y21.L, trans=True).T),
+             LowRankBlock(y1_c.T, y2_c)]
+    if m1 > n1:  # Y12 is the second column's Y_B, placed on the rows of b2
+        y12_l = np.zeros((m1, y2_b.rank))
+        y12_l[rest] = y2_b.L
+        y12 = LowRankBlock(y12_l, y2_b.R, y2_b.left_orthogonal)
+        terms.append(LowRankBlock(apply_dense(y11, y12_l, trans=True), y12.R))
     t_tilde12 = _sum_lowrank(terms, TruncationControl(eps_plain))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
-    y_a = HodlrMatrix(a11=y1.y_a, a22=y2.y_a, a21=y21, a12=y12)
-    y_b = LowRankBlock(b.L, np.hstack([y1.y_c[:k_b], y2.y_c[:k_b]]), b.left_orthogonal)
-    return StructuredY(y_a, y_b, np.hstack([y1.y_c[k_b:], y2.y_c[k_b:]])), t, r
+    y_a = HodlrMatrix(a11=y11, a22=y22, a21=y21, a12=y12)
+    y_b = LowRankBlock(b.L, np.hstack([y1_c[:k_b], y2_c[:k_b]]), b.left_orthogonal)
+    return y_a, y_b, np.hstack([y1_c[k_b:], y2_c[k_b:]]), t, r
 
 
-def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
+def _update_second_column(a, u, v, rows, y11, y21, y1_c, t1, tc):
     # Subtract Y1 S, S = T1^T Y1^T [A12 + u1 v2^T; A22 + u2 v2^T; rows2],
-    # from the second block column: returns the updated A12, the A22 update
-    # joined to (u2, v2) as one pending pair, and the updated rows.  S is
-    # kept exact as G M, M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T;
-    # rows2] the joined right factor of its three terms, so A12 and the
-    # pending pair are truncated against the R of one QR of M^T (its Q is not
-    # formed); above a leaf the pending pair stays exact.
-    m1, n1 = a_tilde.a11.n, a_tilde.a11.n_cols
+    # Y1 = [Y11; Y21; Y1_C] the first child's Y, from the second block
+    # column: returns the updated A12, the A22 update joined to (u2, v2) as
+    # one pending pair, and the updated rows.  S is kept exact as G M,
+    # M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T; rows2] the joined
+    # right factor of its three terms, so A12 and the pending pair are
+    # truncated against the R of one QR of M^T (its Q is not formed); above
+    # a leaf the pending pair stays exact.
+    m1, n1 = a.a11.n, a.a11.n_cols
     u1, u2, v2 = u[:m1], u[m1:], v[n1:]
-    y11, y21 = y1.y_a, y1.y_b
-    a12_l = np.hstack([a_tilde.a12.L, u1])
-    k_a, k_a12 = a_tilde.a12.rank, a12_l.shape[1]
-    m = np.vstack([a_tilde.a12.R, v2.T, (apply_dense(a_tilde.a22, y21.L, trans=True)
-                                         + v2 @ (u2.T @ y21.L)).T, rows[:, n1:]])
+    a12_l = np.hstack([a.a12.L, u1])
+    k_a, k_a12 = a.a12.rank, a12_l.shape[1]
+    m = np.vstack([a.a12.R, v2.T, (apply_dense(a.a22, y21.L, trans=True)
+                                   + v2 @ (u2.T @ y21.L)).T, rows[:, n1:]])
     g = apply_dense(t1, np.hstack([apply_dense(y11, a12_l, trans=True), y21.R.T,
-                                   y1.y_c.T]), trans=True)
+                                   y1_c.T]), trans=True)
     a12_l_upd = -apply_dense(y11, g)
     a12_l_upd[:, :k_a12] += a12_l
-    rows2 = rows[:, n1:] - (y1.y_c @ g) @ m
+    rows2 = rows[:, n1:] - (y1_c @ g) @ m
     # the pending left factor -Y21.L (Y21.R G), plus u2 on columns k_a:k_a12,
     # is [Y21.L, Q_w] C for u2 = Y21.L P + Q_w R_w (block Gram-Schmidt twice
     # against the orthonormal Y21.L), so only the k_u columns of u2 take a QR
@@ -237,7 +198,7 @@ def _update_second_column(a_tilde, u, v, rows, y1, t1, tc):
     c = np.vstack([-(y21.R @ g), np.zeros((q_w.shape[1], m.shape[0]))])
     c[:, k_a:k_a12] += np.vstack([p + p2, r_w])
     a12_qr, basis = np.linalg.qr(a12_l_upd, mode="reduced"), np.hstack([y21.L, q_w])
-    if a_tilde.a22.is_leaf:  # the leaf adds the pending pair densely, untruncated
+    if a.a22.is_leaf:  # the leaf adds the pending pair densely, untruncated
         return _truncate_shared([a12_qr], m, tc)[0], LowRankBlock(basis @ c, m), rows2
     return (*_truncate_shared([a12_qr, (basis, c)], m, tc), rows2)
 

@@ -1,22 +1,14 @@
 """Householder QR decomposition of a dense tall matrix with the
 orthogonal factor held in compact WY form Q = I - Y T Y^T."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class DenseWY:
-    """Compact WY pair: Y is m x n with unit lower triangular top block,
-    T is n x n upper triangular, and Q = I - Y T Y^T is orthogonal."""
-
-    Y: np.ndarray
-    T: np.ndarray
-
-
-def block_qr(a: np.ndarray) -> tuple[DenseWY, np.ndarray]:
+def block_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QR decomposition A = (I - Y T Y^T) [R; 0] for an m x n matrix, m >= n.
+
+    Returns (Y, T, R): Y is m x n with a unit lower triangular top block,
+    T and R are n x n upper triangular, and Q = I - Y T Y^T is orthogonal.
 
     The reflectors come from LAPACK geqrf through numpy, so the QR runs on
     numpy's BLAS.  T is assembled by the forward recurrence of LAPACK
@@ -44,4 +36,4 @@ def block_qr(a: np.ndarray) -> tuple[DenseWY, np.ndarray]:
     for j in range(n):
         T[:j, j] = -tau[j] * (T[:j, :j] @ gram[:j, j])
         T[j, j] = tau[j]
-    return DenseWY(Y=Y, T=T), r
+    return Y, T, r

@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import numpy as np
@@ -13,6 +14,8 @@ from hodlrqr import (
     to_dense,
 )
 from hodlrqr.bench import _random_hodlr
+
+hqr_mod = importlib.import_module("hodlrqr.hqr")
 
 UPPER_TRIANGULAR = "upper_triangular"
 UNIT_LOWER_TRIANGULAR = "unit_lower_triangular"
@@ -130,9 +133,23 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
     return to_dense(_random_hodlr(tree_rows, tree_cols, offdiag_rank, seed)), tree_rows, tree_cols
 
 
-def structured_y_dense(y):
-    """The dense rows [y_a; y_b; y_c] of a StructuredY."""
-    return np.vstack([to_dense(y.y_a), y.y_b.to_dense(), y.y_c])
+def structured_qr(a, b, c, eps, u=None, v=None):
+    """hqr's recursion step on the structured block column [A + u v^T; B; C]
+    with both tolerances at eps and, by default, no pending pair (u, v).
+    Returns (Y_A, Y_B, Y_C, T, R)."""
+    u = np.zeros((a.n, 0)) if u is None else u
+    v = np.zeros((a.n_cols, 0)) if v is None else v
+    return hqr_mod._hqr_rec(a, b, c, u, v, eps, eps)
+
+
+def structured_y_dense(y_a, y_b, y_c):
+    """The dense rows [Y_A; Y_B; Y_C] of a structured Y."""
+    return np.vstack([to_dense(y_a), y_b.to_dense(), y_c])
+
+
+def hodlr_eye(tree):
+    """The identity on ``tree`` in HODLR form, with rank-0 off-diagonal blocks."""
+    return from_dense(np.eye(tree.n), tree, TruncationControl(0.0))
 
 
 def validate_structure(h, tag):

@@ -9,24 +9,26 @@ from hodlrqr import (
     TruncationControl,
     apply_dense,
     build_partition,
-    cholesky,
     from_dense,
-    hodlr_identity,
-    hodlr_spectral_norm,
-    multiply,
-    solve_upper_triangular_right,
     stats,
     to_dense,
-    transpose,
 )
 from hodlrqr import arith, core
-from hodlrqr.arith import solve_upper_dense
+from hodlrqr.arith import (
+    cholesky,
+    hodlr_spectral_norm,
+    multiply,
+    solve_upper_dense,
+    solve_upper_triangular_right,
+    transpose,
+)
 from hodlrqr.bench import gen_matrix, gen_random_hodlr
 
 from conftest import (
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
+    hodlr_eye,
     nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
@@ -42,7 +44,7 @@ def matvec(h, v):
 def test_matvec_identity(rng):
     tree = build_partition(48, 12)
     v = rng.standard_normal(48)
-    assert np.array_equal(matvec(hodlr_identity(tree), v), v)
+    assert np.array_equal(matvec(hodlr_eye(tree), v), v)
 
 
 def test_matvec_matches_dense(rng):
@@ -96,7 +98,7 @@ def test_same_leaves_nested_differently_are_different_trees(rng, op):
 
 def test_multiply_identity(rng):
     h, dense, tree = random_hodlr_pair(96, 24, rank=2, seed=18)
-    out = multiply(h, hodlr_identity(tree), TruncationControl(1e-13))
+    out = multiply(h, hodlr_eye(tree), TruncationControl(1e-13))
     assert np.allclose(to_dense(out), dense, atol=1e-10)
     assert stats(out)["max_offdiag_rank"] <= stats(h)["max_offdiag_rank"]
 
@@ -136,7 +138,7 @@ def test_transpose_matches_dense(rng):
 
 def test_cholesky_identity():
     tree = build_partition(48, 12)
-    r = cholesky(hodlr_identity(tree), TruncationControl(1e-14))
+    r = cholesky(hodlr_eye(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48))
     validate_structure(r, UPPER_TRIANGULAR)
 
@@ -181,7 +183,7 @@ def test_cholesky_breakdown_reports_leaf_and_pivot():
 
 def test_solve_upper_right_identity(rng):
     h, dense, tree = random_hodlr_pair(64, 16, seed=23)
-    out = solve_upper_triangular_right(h, hodlr_identity(tree), TruncationControl(1e-13))
+    out = solve_upper_triangular_right(h, hodlr_eye(tree), TruncationControl(1e-13))
     assert np.allclose(to_dense(out), dense, atol=1e-10)
 
 
@@ -355,7 +357,7 @@ def test_cholesky_breakdown_without_failing_pivot_on_retry(monkeypatch):
     def fails(a):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    h = hodlr_identity(build_partition(32, 8))
+    h = hodlr_eye(build_partition(32, 8))
     monkeypatch.setattr(np.linalg, "cholesky", fails)
     with pytest.raises(CholeskyBreakdownError) as exc:
         cholesky(h, TruncationControl(1e-14))
@@ -379,7 +381,7 @@ def test_cholesky_breakdown_reports_the_failing_schur_pivot():
 @pytest.mark.parametrize("rows", [599, 601])
 def test_solve_upper_dense_rejects_wrong_row_count(trans, rows):
     # a 601-row b failed inside scipy: "shapes of a (150, 150) and b (151,)"
-    r = hodlr_identity(build_partition(600, 150))
+    r = hodlr_eye(build_partition(600, 150))
     with pytest.raises(ValueError, match="dimension mismatch: 600 vs"):
         solve_upper_dense(r, np.ones(rows), trans=trans)
 
@@ -456,4 +458,4 @@ def test_solvers_reject_non_finite_input_before_any_solve(monkeypatch, where, tr
         solve_upper_dense(r, b, trans=trans)
     if where != "b":
         with pytest.raises(ValueError, match="triangular_right input has non-finite"):
-            solve_upper_triangular_right(hodlr_identity(tree), r, TruncationControl(0.0))
+            solve_upper_triangular_right(hodlr_eye(tree), r, TruncationControl(0.0))

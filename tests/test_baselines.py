@@ -10,12 +10,11 @@ from hodlrqr import (
     cholqr,
     cholqr2,
     from_dense,
-    hodlr_identity,
     to_dense,
 )
 from hodlrqr.bench import metrics
 
-from conftest import random_hodlr_pair
+from conftest import hodlr_eye, random_hodlr_pair
 
 
 def errors(a, q, r):
@@ -24,7 +23,7 @@ def errors(a, q, r):
 
 def test_cholqr_on_identity():
     tree = build_partition(64, 16)
-    q, r = cholqr(hodlr_identity(tree), TruncationControl(1e-14))
+    q, r = cholqr(hodlr_eye(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(64), atol=1e-12)
     assert np.allclose(to_dense(q), np.eye(64), atol=1e-12)
 
@@ -71,7 +70,7 @@ def test_cholqr2_improves_orthogonality(rng):
 
 def test_cholqr2_near_noop_on_orthogonal_input():
     tree = build_partition(48, 12)
-    q, r = cholqr2(hodlr_identity(tree), TruncationControl(1e-14))
+    q, r = cholqr2(hodlr_eye(tree), TruncationControl(1e-14))
     assert np.allclose(to_dense(r), np.eye(48), atol=1e-10)
 
 

@@ -26,7 +26,6 @@ from hodlrqr.bench import (
     check_matrix_kind,
     check_methods,
     gen_cauchy,
-    gen_cauchy_config,
     gen_matrix,
     gen_random_hodlr,
     metrics,
@@ -36,7 +35,7 @@ from hodlrqr.bench import (
 )
 from hodlrqr.cli import main
 
-from conftest import count_calls_everywhere
+from conftest import count_calls_everywhere, hodlr_eye
 
 
 def hodlr_equal(h1, h2):
@@ -111,13 +110,12 @@ def test_gen_cauchy_coincident_points_raise():
 
 def test_gen_cauchy_config_rank():
     # this point configuration keeps off-diagonal ranks around 20
-    a = gen_cauchy_config("a2", n=500, seed=0, eps=1e-10, n_min=125)
+    a = gen_matrix("cauchy:a2", 500, n_min=125, seed=0, eps=1e-10)
     assert 5 <= stats(a)["max_offdiag_rank"] <= 24
 
 
 def test_metrics_identity_factorization():
-    from hodlrqr import build_partition, hodlr_identity
-    a = hodlr_identity(build_partition(96, 24))
+    a = hodlr_eye(build_partition(96, 24))
     f = hqr(a, 1e-14)
     m = metrics(a, f, eps=1e-14)
     u = np.finfo(float).eps
@@ -127,7 +125,7 @@ def test_metrics_identity_factorization():
 def test_metrics_estimate_agrees_with_dense():
     # run at a loose tolerance so the errors sit far above roundoff, where
     # both measurement routes see the same quantity
-    a = gen_cauchy_config("a2", n=512, seed=1, eps=1e-5, n_min=128)
+    a = gen_matrix("cauchy:a2", 512, n_min=128, seed=1, eps=1e-5)
     f = hqr(a, 1e-5)
     exact = metrics(a, f, estimate=False)
     est = metrics(a, f, estimate=True)

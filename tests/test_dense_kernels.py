@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodlrqr import (
-    block_qr,
-    spectral_norm_estimate,
-    svd,
-    truncation_rank,
-)
+from hodlrqr.dense import spectral_norm_estimate, svd, truncation_rank
+from hodlrqr.wy import block_qr
 
 EYE_TOL = 16 * np.finfo(float).eps
 
@@ -15,8 +11,8 @@ EYE_TOL = 16 * np.finfo(float).eps
 def reflector(v):
     """Householder reflector of the one-column leaf QR as (y, gamma, rho):
     (I - gamma y y^T) v = rho e_1 with y[0] = 1."""
-    wy, r = block_qr(np.asarray(v, dtype=float)[:, None])
-    return wy.Y[:, 0], wy.T[0, 0], r[0, 0]
+    y, t, r = block_qr(np.asarray(v, dtype=float)[:, None])
+    return y[:, 0], t[0, 0], r[0, 0]
 
 
 def reflect(y, gamma, v):
@@ -90,35 +86,35 @@ def test_reflector_subnormal_entries_stay_orthogonal():
 
 
 def test_svd_diagonal():
-    res = svd(np.diag([3.0, 1.0]))
-    assert np.allclose(res.sigma, [3.0, 1.0])
+    _, sigma, _ = svd(np.diag([3.0, 1.0]))
+    assert np.allclose(sigma, [3.0, 1.0])
 
 
 def test_svd_rank_one(rng):
     u = rng.standard_normal(8)
     v = rng.standard_normal(5)
-    res = svd(np.outer(u, v))
-    assert res.sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-    assert np.all(res.sigma[1:] <= 1e-13 * res.sigma[0])
+    _, sigma, _ = svd(np.outer(u, v))
+    assert sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
+    assert np.all(sigma[1:] <= 1e-13 * sigma[0])
 
 
 def test_svd_reconstruction(rng):
     m = rng.standard_normal((30, 30))
-    res = svd(m)
-    rebuilt = res.U @ np.diag(res.sigma) @ res.V.T
-    assert np.max(np.abs(rebuilt - m)) <= 1e-13 * res.sigma[0]
-    assert np.all(np.diff(res.sigma) <= 0)
+    u, sigma, v = svd(m)
+    rebuilt = u @ np.diag(sigma) @ v.T
+    assert np.max(np.abs(rebuilt - m)) <= 1e-13 * sigma[0]
+    assert np.all(np.diff(sigma) <= 0)
 
 
 def test_svd_eckart_young(rng):
     # rank-k truncation error equals sigma_{k+1}
     m = rng.standard_normal((24, 18))
-    res = svd(m)
+    u, sigma, v = svd(m)
     for k in range(0, 18, 3):
-        head = res.U[:, :k] @ np.diag(res.sigma[:k]) @ res.V[:, :k].T
+        head = u[:, :k] @ np.diag(sigma[:k]) @ v[:, :k].T
         err = np.linalg.norm(m - head, 2)
-        expected = res.sigma[k] if k < len(res.sigma) else 0.0
-        assert err == pytest.approx(expected, abs=1e-12 * res.sigma[0])
+        expected = sigma[k] if k < len(sigma) else 0.0
+        assert err == pytest.approx(expected, abs=1e-12 * sigma[0])
 
 
 def test_truncation_rank_examples():

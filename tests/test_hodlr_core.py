@@ -1,5 +1,8 @@
+import re
 import struct
+import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,23 +18,26 @@ from hodlrqr import (
     apply_dense,
     build_partition,
     from_dense,
-    hodlr_identity,
     hqr,
-    left_orthogonalize,
     read_hodlr,
     stats,
-    sum_lowrank,
     to_dense,
     triangle_rows,
-    truncate_lowrank,
-    truncation_rank,
     write_hodlr,
 )
 import hodlrqr
-from hodlrqr.core import _truncate_shared, check_finite
+from hodlrqr.core import (
+    _truncate_shared,
+    check_finite,
+    left_orthogonalize,
+    sum_lowrank,
+    truncate_lowrank,
+)
+from hodlrqr.dense import truncation_rank
 
 from conftest import (
     UPPER_TRIANGULAR,
+    hodlr_eye,
     nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
@@ -39,10 +45,30 @@ from conftest import (
 )
 
 
+# what the CLI, perfbench and a caller of hqr or CholQR use; every other
+# name is imported from its module
+PUBLIC_API = [
+    "CholeskyBreakdownError", "CorruptionError", "FormatError", "HodlrMatrix",
+    "HodlrQRFactors", "LowRankBlock", "PartitionTree", "TruncationControl",
+    "apply_dense", "apply_q", "apply_q_transpose", "build_partition", "cholqr",
+    "cholqr2", "from_dense", "hqr", "q_to_hodlr", "read_hodlr",
+    "solve_upper_dense", "stats", "to_dense", "triangle_rows", "write_hodlr",
+]
+
+
 def test_public_names_resolve_once():
     assert len(set(hodlrqr.__all__)) == len(hodlrqr.__all__)
+    assert sorted(hodlrqr.__all__) == PUBLIC_API
     for name in hodlrqr.__all__:
         assert getattr(hodlrqr, name) is not None, name
+    # no public attribute of the package, submodules aside, is missing from __all__
+    public = {name for name, value in vars(hodlrqr).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(PUBLIC_API)
+    # README's API line lists the same names
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    line, = (x for x in readme if x.startswith("Public API"))
+    assert sorted(re.findall(r"`(\w+)`", line)) == PUBLIC_API
 
 
 def test_build_partition_default_block_size():
@@ -124,7 +150,7 @@ def test_to_dense_single_leaf(rng):
 
 def test_to_dense_rank_zero_offdiagonals():
     tree = build_partition(8, 4)
-    ident = hodlr_identity(tree)
+    ident = hodlr_eye(tree)
     assert np.array_equal(to_dense(ident), np.eye(8))
 
 
@@ -404,7 +430,7 @@ def test_recompress_error_bound(rng):
 
 def test_stats_identity():
     tree = build_partition(40, 10)
-    s = stats(hodlr_identity(tree))
+    s = stats(hodlr_eye(tree))
     assert s["max_offdiag_rank"] == 0
     assert s["memory_scalars"] == sum(sz ** 2 for sz in tree.leaf_sizes)
 
@@ -440,7 +466,7 @@ def _iter_ranks(h):
 
 def test_validate_structure_tags():
     tree = build_partition(32, 8)
-    validate_structure(hodlr_identity(tree), UPPER_TRIANGULAR)
+    validate_structure(hodlr_eye(tree), UPPER_TRIANGULAR)
     bad = HodlrMatrix(
         a11=HodlrMatrix(dense=np.eye(4)),
         a22=HodlrMatrix(dense=np.eye(4)),

@@ -9,43 +9,38 @@ from hodlrqr import (
     HodlrMatrix,
     LowRankBlock,
     PartitionTree,
-    StructuredColumn,
     TruncationControl,
     apply_q,
     apply_q_transpose,
-    block_qr,
     build_partition,
     from_dense,
-    hodlr_identity,
     hqr,
-    hqr_rec,
-    left_orthogonalize,
     q_to_hodlr,
-    scale,
     stats,
-    sum_lowrank,
     to_dense,
-    transpose,
     triangle_rows,
 )
 from hodlrqr import arith, core
-from hodlrqr.arith import apply_dense
+from hodlrqr.arith import apply_dense, scale, transpose
 from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics
+from hodlrqr.core import left_orthogonalize, sum_lowrank
 from hodlrqr.dense import truncation_rank
+from hodlrqr.wy import block_qr
 
 from conftest import (
     UNIT_LOWER_TRIANGULAR,
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
+    hodlr_eye,
+    hqr_mod,
     nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
+    structured_qr,
     structured_y_dense,
     validate_structure,
 )
-
-hqr_mod = importlib.import_module("hodlrqr.hqr")
 
 
 def dense_q(f):
@@ -56,7 +51,7 @@ def dense_q(f):
 def test_hqr_identity():
     n = 128
     tree = build_partition(n, 32)
-    f = hqr(hodlr_identity(tree), 1e-15)
+    f = hqr(hodlr_eye(tree), 1e-15)
     q = dense_q(f)
     u = np.finfo(float).eps
     assert np.linalg.norm(q.T @ q - np.eye(n), 2) <= n * u
@@ -68,7 +63,7 @@ def test_hqr_matches_dense_block_qr(rng):
     h, dense, _ = random_hodlr_pair(n, 32, rank=1, seed=31)
     f = hqr(h, 1e-15)
     norm = np.linalg.norm(dense, 2)
-    _, r_ref = block_qr(dense)
+    *_, r_ref = block_qr(dense)
     assert np.max(np.abs(np.abs(to_dense(f.r)) - np.abs(r_ref))) <= 1e-11 * norm
 
 
@@ -97,9 +92,9 @@ def test_hqr_accuracy_envelope(rng):
 def test_hqr_single_leaf_matrix(rng):
     m = rng.standard_normal((48, 48))
     f = hqr(HodlrMatrix(dense=m), 1e-14)
-    wy, r_ref = block_qr(m)
+    y_ref, _, r_ref = block_qr(m)
     assert np.allclose(to_dense(f.r), r_ref)
-    assert np.allclose(to_dense(f.y), wy.Y)
+    assert np.allclose(to_dense(f.y), y_ref)
 
 
 def test_hqr_rec_overcomplete_b_factor(rng):
@@ -107,10 +102,9 @@ def test_hqr_rec_overcomplete_b_factor(rng):
     m, p = 64, 3
     h, dense, _ = random_hodlr_pair(m, 16, rank=1, seed=50)
     b = LowRankBlock(rng.standard_normal((p, 5)), rng.standard_normal((5, m)))
-    col = StructuredColumn(h, b, np.zeros((0, m)))
-    y, t, r = hqr_rec(col, 1e-14, 1e-14)
+    *y, t, r = structured_qr(h, b, np.zeros((0, m)), 1e-14)
     stacked = np.vstack([dense, b.to_dense()])
-    y_dense = structured_y_dense(y)
+    y_dense = structured_y_dense(*y)
     q = np.eye(m + p) - y_dense @ to_dense(t) @ y_dense.T
     rebuilt = q @ np.vstack([to_dense(r), np.zeros((p, m))])
     assert np.linalg.norm(rebuilt - stacked, 2) <= 1e-11 * np.linalg.norm(stacked, 2)
@@ -119,22 +113,12 @@ def test_hqr_rec_overcomplete_b_factor(rng):
 def test_hqr_rec_void_parts_reduces_to_block_qr(rng):
     m = 40
     leaf = rng.standard_normal((m, m))
-    col = StructuredColumn(HodlrMatrix(dense=leaf), LowRankBlock.zero(0, m),
-                           np.zeros((0, m)))
-    y, t, r = hqr_rec(col, 1e-14, 1e-14)
-    wy, r_ref = block_qr(leaf)
+    y_a, _, _, t, r = structured_qr(HodlrMatrix(dense=leaf), LowRankBlock.zero(0, m),
+                                    np.zeros((0, m)), 1e-14)
+    y_ref, t_ref, r_ref = block_qr(leaf)
     assert np.allclose(to_dense(r), r_ref)
-    assert np.allclose(to_dense(y.y_a), wy.Y)
-    assert np.allclose(to_dense(t), wy.T)
-
-
-def test_structured_column_rejects_misshaped_coupling_rows():
-    # a 2 x 8 block must not be reshaped into 4 x 4 coupling rows
-    a = HodlrMatrix(dense=np.eye(4))
-    for c in (np.ones((2, 8)), np.ones(4), np.ones((1, 1, 4))):
-        with pytest.raises(ValueError):
-            StructuredColumn(a, LowRankBlock.zero(0, 4), c)
-    assert StructuredColumn(a, LowRankBlock.zero(0, 4), np.ones((3, 4))).c.shape == (3, 4)
+    assert np.allclose(to_dense(y_a), y_ref)
+    assert np.allclose(to_dense(t), t_ref)
 
 
 def _structured_column(m, p, r2, rank, seed):
@@ -142,21 +126,20 @@ def _structured_column(m, p, r2, rank, seed):
     h, dense, _ = random_hodlr_pair(m, m // 2, rank=rank, seed=seed)
     b = LowRankBlock(rng.standard_normal((p, rank)), rng.standard_normal((rank, m)))
     c = rng.standard_normal((r2, m))
-    col = StructuredColumn(h, b, c)
     stacked = np.vstack([dense, b.to_dense(), c])
-    return col, stacked
+    return h, b, c, stacked
 
 
 def test_hqr_rec_level_one_vs_stacked_dense_oracle():
     m, p, r2 = 200, 35, 9
-    col, stacked = _structured_column(m, p, r2, rank=2, seed=33)
-    y, t, r = hqr_rec(col, 1e-15, 1e-15)
+    *col, stacked = _structured_column(m, p, r2, rank=2, seed=33)
+    *y, t, r = structured_qr(*col, 1e-15)
     norm = np.linalg.norm(stacked, 2)
     # R agrees with the dense QR of the stacked column up to diagonal signs
-    _, r_ref = block_qr(stacked)
+    *_, r_ref = block_qr(stacked)
     assert np.max(np.abs(np.abs(to_dense(r)) - np.abs(r_ref))) <= 1e-11 * norm
     # full reconstruction
-    y_dense = structured_y_dense(y)
+    y_dense = structured_y_dense(*y)
     t_dense = to_dense(t)
     rows = stacked.shape[0]
     q = np.eye(rows) - y_dense @ t_dense @ y_dense.T
@@ -169,27 +152,25 @@ def test_hqr_rec_sum_terms_match_dense_oracle():
     # the low-rank evaluation of S = T1^T Y1^T [A12; A22; B_R2; C2] agrees
     # with its dense counterpart
     m, p, r2 = 128, 20, 6
-    col, stacked = _structured_column(m, p, r2, rank=1, seed=34)
-    a = col.a_tilde
-    b = left_orthogonalize(col.b)
-    c = col.c
+    a, b, c, stacked = _structured_column(m, p, r2, rank=1, seed=34)
+    b = left_orthogonalize(b)
     m1 = a.a11.n
-    col1 = StructuredColumn(a.a11, a.a21, np.vstack([b.R[:, :m1], c[:, :m1]]))
-    y1, t1, _ = hqr_rec(col1, 1e-15, 1e-15)
+    *y1, t1, _ = structured_qr(a.a11, a.a21, np.vstack([b.R[:, :m1], c[:, :m1]]), 1e-15)
+    y11, y21, y1_c = y1
     r1 = b.rank
 
     # low-rank route, mirroring the recursion
     terms = [
-        LowRankBlock(apply_dense(y1.y_a, a.a12.L, trans=True), a.a12.R),
-        LowRankBlock(y1.y_b.R.T, apply_dense(a.a22, y1.y_b.L, trans=True).T),
-        LowRankBlock(y1.y_c[:r1].T, b.R[:, m1:]),
-        LowRankBlock(y1.y_c[r1:].T, c[:, m1:]),
+        LowRankBlock(apply_dense(y11, a.a12.L, trans=True), a.a12.R),
+        LowRankBlock(y21.R.T, apply_dense(a.a22, y21.L, trans=True).T),
+        LowRankBlock(y1_c[:r1].T, b.R[:, m1:]),
+        LowRankBlock(y1_c[r1:].T, c[:, m1:]),
     ]
     s_lowrank = sum((t_.to_dense() for t_ in terms[1:]), terms[0].to_dense())
     s_lowrank = to_dense(transpose(t1)) @ s_lowrank
 
     # dense route
-    y1_dense = structured_y_dense(y1)
+    y1_dense = structured_y_dense(*y1)
     second = np.vstack([a.a12.to_dense(), to_dense(a.a22), b.R[:, m1:], c[:, m1:]])
     s_dense = to_dense(t1).T @ (y1_dense.T @ second)
     norm = np.linalg.norm(stacked, 2)
@@ -200,14 +181,14 @@ def test_hqr_rec_empty_b_with_coupling_rows(rng):
     m, r2 = 64, 11
     h, dense, _ = random_hodlr_pair(m, 16, rank=1, seed=35)
     c = rng.standard_normal((r2, m))
-    col = StructuredColumn(h, LowRankBlock.zero(0, m), c)
-    y, t, r = hqr_rec(col, 1e-14, 1e-14)
+    *y, t, r = structured_qr(h, LowRankBlock.zero(0, m), c, 1e-14)
     stacked = np.vstack([dense, c])
-    y_dense = structured_y_dense(y)
+    y_dense = structured_y_dense(*y)
     q = np.eye(m + r2) - y_dense @ to_dense(t) @ y_dense.T
     rebuilt = q @ np.vstack([to_dense(r), np.zeros((r2, m))])
     assert np.linalg.norm(rebuilt - stacked, 2) <= 1e-11 * np.linalg.norm(stacked, 2)
-    assert y.y_b.n_rows == 0 and y.y_c.shape == (r2, m)
+    _, y_b, y_c = y
+    assert y_b.n_rows == 0 and y_c.shape == (r2, m)
 
 
 def test_apply_q_transpose_reduces_a(rng):
@@ -244,8 +225,8 @@ def test_apply_q_rejects_a_wrong_row_count(apply, shape):
 
 def test_q_to_hodlr_zero_y():
     tree = build_partition(64, 16)
-    ident = hodlr_identity(tree)
-    from hodlrqr import HodlrQRFactors, scale
+    ident = hodlr_eye(tree)
+    from hodlrqr import HodlrQRFactors
     zero = scale(ident, 0.0)
     f = HodlrQRFactors(y=zero, t=zero, r=ident)
     q = q_to_hodlr(f, 1e-12)
@@ -581,9 +562,9 @@ def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
     frames, bases = [], []
     update, truncate = hqr_mod._update_second_column, hqr_mod._truncate_shared
 
-    def spy_update(a_tilde, u, v, rows, y1, t1, tc):
-        frames.append((y1.y_b.rank, u.shape[1], a_tilde.a22.is_leaf))
-        return update(a_tilde, u, v, rows, y1, t1, tc)
+    def spy_update(a, u, v, rows, y11, y21, y1_c, t1, tc):
+        frames.append((y21.rank, u.shape[1], a.a22.is_leaf))
+        return update(a, u, v, rows, y11, y21, y1_c, t1, tc)
 
     def spy_truncate(lefts, right, tc):
         bases.append([q.shape[1] for q, _ in lefts[1:]] + [right.shape[0]])
@@ -615,12 +596,11 @@ def test_update_second_column_matches_dense_oracle():
     m1 = a.a11.n
     tc = TruncationControl(0.0)
     a21 = sum_lowrank([a.a21, LowRankBlock(u[m1:], v[:m1].T)], tc)
-    y1, t1, _ = hqr_mod._hqr_rec(StructuredColumn(a.a11, a21, rows[:, :m1]),
-                                 u[:m1], v[:m1], 0.0, 0.0)
-    a12_upd, pending, rows2 = hqr_mod._update_second_column(a, u, v, rows, y1, t1, tc)
+    *y1, t1, _ = structured_qr(a.a11, a21, rows[:, :m1], 0.0, u[:m1], v[:m1])
+    a12_upd, pending, rows2 = hqr_mod._update_second_column(a, u, v, rows, *y1, t1, tc)
 
     second = np.vstack([dense[:, m1:] + u @ v[m1:].T, rows[:, m1:]])
-    y1_dense = structured_y_dense(y1)
+    y1_dense = structured_y_dense(*y1)
     s = to_dense(t1).T @ (y1_dense.T @ second)
     updated = second - y1_dense @ s
     norm = np.linalg.norm(np.vstack([dense + u @ v.T, rows]), 2)
@@ -663,8 +643,8 @@ def test_hqr_ranks_are_those_of_the_dense_householder_factors(kind, rank, slack)
     a = gen_matrix(kind, 2000, 250, 0, offdiag_rank=rank)
     d = to_dense(a)
     f = hqr(a, eps)
-    wy, r = block_qr(d)
-    for h, exact, threshold in ((f.y, wy.Y, eps), (f.t, wy.T, eps),
+    y, t, r = block_qr(d)
+    for h, exact, threshold in ((f.y, y, eps), (f.t, t, eps),
                                 (f.r, r, eps * np.linalg.norm(d, 2))):
         for stored, optimal in _rank_pairs(h, exact, threshold, []):
             assert abs(stored - optimal) <= slack

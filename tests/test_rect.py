@@ -8,11 +8,11 @@ from hodlrqr import (
     apply_dense,
     from_dense,
     hqr,
-    scale,
     stats,
     to_dense,
     triangle_rows,
 )
+from hodlrqr.arith import scale
 from hodlrqr.bench import gen_random_hodlr
 from hodlrqr.core import PartitionTree
 
