@@ -9,11 +9,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
-from .arith import (
-    CholeskyBreakdownError,
-    apply_dense,
-    hodlr_spectral_norm,
-)
+from .arith import apply_dense, hodlr_spectral_norm
 from .baselines import cholqr, cholqr2
 from .core import (
     HodlrMatrix,
@@ -255,28 +251,29 @@ def qr_errors(a, q, r, estimate: bool = False) -> dict:
     """
     a_op, q_op, r_op = (_operator(x) for x in (a, q, r))
     n = a_op.shape[0]
-    out = {"e_orth_bound": math.nan, "e_acc_bound": math.nan}
     if estimate:
         orth = q_op.H @ q_op - _linear_operator(n, lambda v: v, lambda v: v)
         resid = q_op @ r_op - a_op
         rng = np.random.default_rng(ESTIMATE_SEED)
-        for key, op in (("e_orth", orth), ("e_acc", resid)):
-            out[key], out[f"{key}_bound"] = spectral_norm_estimate(
-                op.matmat, op.rmatmat, n,
-                start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
-        return out
-    check_dense_size(n)
-    q_d = _dense(q)
-    out["e_orth"] = _symmetric_norm(q_d.T @ q_d - np.eye(n))
-    e = q_op.matmat(_dense(r)) - _dense(a)
-    scale = float(np.max(np.abs(e)))  # keeps E^T E clear of under/overflow
-    if scale > 0.0:
-        e = e / scale
-    out["e_acc"] = scale * math.sqrt(_symmetric_norm(e.T @ e))
-    return out
+        (e_orth, orth_bound), (e_acc, acc_bound) = [
+            spectral_norm_estimate(op.matmat, op.rmatmat, n,
+                                   start=rng.standard_normal((n, ESTIMATE_BLOCK)), **_ESTIMATE)
+            for op in (orth, resid)]
+    else:
+        check_dense_size(n)
+        q_d = _dense(q)
+        e_orth = _symmetric_norm(q_d.T @ q_d - np.eye(n))
+        e = q_op.matmat(_dense(r)) - _dense(a)
+        scale = float(np.max(np.abs(e)))  # keeps E^T E clear of under/overflow
+        if scale > 0.0:
+            e = e / scale
+        e_acc = scale * math.sqrt(_symmetric_norm(e.T @ e))
+        orth_bound = acc_bound = math.nan
+    return {"e_orth": e_orth, "e_acc": e_acc, "e_orth_bound": orth_bound,
+            "e_acc_bound": acc_bound}
 
 
-def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
+def metrics(a, f, estimate: bool = False) -> dict:
     """Accuracy, rank and memory metrics of a QR decomposition of a.
 
     ``f`` is either hqr's WY-form factors or an explicit (Q, R) pair (the
@@ -289,11 +286,12 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
     it applies carries the rounding of each application.  Factors
     in HODLR form also get their maximal off-diagonal ranks and, for a
     HODLR a, their stored scalars relative to a: Y, T, Q and R for WY
-    factors, whose Q is materialized at ``eps`` for its statistics, Q and
-    R for an explicit pair.  kappa2 belongs to a alone; run_bench and
-    ``hodlrqr qr`` compute it once per matrix with _kappa2 (one QR and
-    two Lanczos runs, a relative O(kappa2 u) from the SVD value, inf for
-    an exact zero on R's diagonal).
+    factors, whose Q is materialized by q_to_hodlr at the threshold hqr
+    truncated T at (``f.eps_plain``), Q and R for an explicit pair.
+    kappa2 belongs to a alone; run_bench and ``hodlrqr qr`` compute it
+    once per matrix with _kappa2 (one QR and two Lanczos runs, a relative
+    O(kappa2 u) from the SVD value, inf for an exact zero on R's
+    diagonal).
     A must be square: any other shape raises ValueError before any product.
     """
     shape = (a.n, a.n_cols) if isinstance(a, HodlrMatrix) else np.shape(a)
@@ -303,7 +301,7 @@ def metrics(a, f, eps: float = 1e-10, estimate: bool = False) -> dict:
     q, r = (f, f.r) if wy else f
     out = qr_errors(a, q, r, estimate)
     if wy:
-        parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f, eps), "r": f.r}
+        parts = {"y": f.y, "t": f.t, "q": q_to_hodlr(f), "r": f.r}
     elif isinstance(q, HodlrMatrix):
         parts = {"q": q, "r": r}
     else:  # dense factors have no ranks
@@ -380,9 +378,9 @@ class BenchConfig:
         check_matrix_kind(self.matrix)
 
 
-def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: int,
+def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, seed: int,
               estimate: bool, tc: TruncationControl | None) -> BenchRecord:
-    rec = BenchRecord(method=method, n=n, seed=seed, eps=config.eps)
+    rec = BenchRecord(method=method, n=a.n, seed=seed, eps=config.eps)
     start = time.perf_counter()
     try:
         if method == "hqr":
@@ -393,10 +391,10 @@ def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, n: int, seed: in
         else:
             f = (cholqr if method == "cholqr" else cholqr2)(a, tc)
         rec.time_s = time.perf_counter() - start
-        m = metrics(a, f, eps=config.eps, estimate=estimate)
+        m = metrics(a, f, estimate=estimate)
         for key, val in m.items():
             setattr(rec, key, val)
-    except (CholeskyBreakdownError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:  # CholeskyBreakdownError included
         rec.time_s = time.perf_counter() - start
         rec.failed = 1
     return rec
@@ -424,7 +422,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
                 norm = 1.0 if config.absolute_eps else hodlr_spectral_norm(a)
                 tc = TruncationControl(config.eps * norm)
             for method in config.methods:
-                rec = _run_cell(config, a, method, n, seed, estimate, tc)
+                rec = _run_cell(config, a, method, seed, estimate, tc)
                 rec.kappa2 = kappa2
                 records.append(rec)
     return records
@@ -443,8 +441,7 @@ def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
                              n_min=n_min, matrix=matrix, absolute_eps=absolute_eps,
                              estimate=estimate)
         a = gen_matrix(matrix, n, n_min, seed, eps=eps, absolute_eps=absolute_eps)
-        records.append(_run_cell(config, a, "hqr", n, seed, estimate or n > DENSE_LIMIT,
-                                 None))
+        records.append(_run_cell(config, a, "hqr", seed, estimate or n > DENSE_LIMIT, None))
     return records
 
 

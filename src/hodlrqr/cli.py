@@ -148,11 +148,10 @@ def _cmd_qr(args) -> int:
     f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, paths[name])
-    m = metrics(a, f, eps=args.eps, estimate=args.estimate)
-    m["kappa2"] = math.nan if args.estimate else _kappa2(a)
-    for key in ("kappa2", "e_orth", "e_acc", "e_orth_bound", "e_acc_bound", "rank_y",
-                "rank_t", "rank_q", "rank_r", "mem_yt_rel", "mem_q_rel", "mem_r_rel"):
-        print(f"{key}={m.get(key, math.nan)}")
+    m = metrics(a, f, estimate=args.estimate)
+    print(f"kappa2={math.nan if args.estimate else _kappa2(a)}")
+    for key, value in m.items():
+        print(f"{key}={value}")
     return 0
 
 

@@ -41,12 +41,15 @@ class HodlrQRFactors:
     Y is m x n over A's row and column trees, T and R are n x n upper
     triangular over its column tree, and P moves the rows
     ``triangle_rows(y)`` (the first n_j rows of every leaf j) to the top.
-    With square leaves P = I and A ~= (I - Y T Y^T) R.
+    With square leaves P = I and A ~= (I - Y T Y^T) R.  ``eps_plain`` is
+    the threshold hqr truncated T's coupling blocks at, the scale of Q;
+    q_to_hodlr materializes Q at it.
     """
 
     y: HodlrMatrix
     t: HodlrMatrix
     r: HodlrMatrix
+    eps_plain: float
 
 
 def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
@@ -59,9 +62,10 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     intermediate sums are truncated at eps * ||A||_2, the coupling blocks
     of T, whose scale is 1, at the plain eps.  With ``absolute`` the sums
     are truncated at eps and the coupling blocks of T at eps / ||A||_2
-    (0 when A is zero).  A leaf wider than tall, an inf or nan entry, or
-    an eps that is not finite and >= 0 raises ValueError before the norm
-    estimate.
+    (0 when A is zero).  The factors record that plain threshold as
+    ``eps_plain``, and q_to_hodlr materializes Q at it.  A leaf wider than
+    tall, an inf or nan entry, or an eps that is not finite and >= 0
+    raises ValueError before the norm estimate.
     """
     check_tolerance(eps)
     _check_leaves(a)
@@ -72,8 +76,9 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     else:
         eps_abs, eps_plain = eps * norm, eps
     y, _, _, t, r = _hqr_rec(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)),
-                             np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)), eps_abs, eps_plain)
-    return HodlrQRFactors(y=y, t=t, r=r)
+                             np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)),
+                             TruncationControl(eps_abs), TruncationControl(eps_plain))
+    return HodlrQRFactors(y=y, t=t, r=r, eps_plain=eps_plain)
 
 
 def _check_leaves(h: HodlrMatrix) -> None:
@@ -89,7 +94,7 @@ def triangle_rows(h: HodlrMatrix) -> np.ndarray:
 
 
 def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: np.ndarray,
-             eps_abs: float, eps_plain: float
+             tc_abs: TruncationControl, tc_plain: TruncationControl
              ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
     """One recursion step on the structured block column [A + u v^T; B; C]:
     an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, a pending
@@ -103,7 +108,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
     column and every other row of A is reduced to zero.
 
     The update -Y21 S of A22 travels down as one pending pair (u, v),
-    truncated at eps_abs except above a leaf: the leaves add it densely
+    truncated at tc_abs except above a leaf: the leaves add it densely
     before their QR, each A21 joins it in the truncated sum that becomes
     the child's B, and each A12 takes it as extra columns.  No A22 subtree
     is copied.  A frame keeps alive only what later steps read: no block of
@@ -125,14 +130,13 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
 
     a11, a22 = a.a11, a.a22
     m1, n1 = a11.n, a11.n_cols
-    tc_abs = TruncationControl(eps_abs)
     # first block column [A11 + u1 v1^T; A21 + u2 v1^T; rows1] has the same
     # structure one level down
     a21 = a.a21
     if u.shape[1]:
         a21 = _sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
     y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], u[:m1], v[:n1],
-                                       eps_abs, eps_plain)
+                                       tc_abs, tc_plain)
     a12_upd, pending, rows2 = _update_second_column(a, u, v, rows, y11, y21, y1_c, t1,
                                                     tc_abs)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
@@ -145,7 +149,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
     del c, rows, a21  # not read below: they would stay alive through the second child
     y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending.L, pending.R.T,
-                                        eps_abs, eps_plain)
+                                        tc_abs, tc_plain)
     del pending
 
     # coupling block of T, truncated at the plain tolerance
@@ -157,7 +161,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
         y12_l[rest] = y2_b.L
         y12 = LowRankBlock(y12_l, y2_b.R, y2_b.left_orthogonal)
         terms.append(LowRankBlock(apply_dense(y11, y12_l, trans=True), y12.R))
-    t_tilde12 = _sum_lowrank(terms, TruncationControl(eps_plain))
+    t_tilde12 = _sum_lowrank(terms, tc_plain)
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T)
 
@@ -206,11 +210,7 @@ def _update_second_column(a, u, v, rows, y11, y21, y1_c, t1, tc):
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:
     # M - Y (T (Y^T M)), with T^T in place of T for ``trans``
     m = np.asarray(m, dtype=float)
-    vec = m.ndim == 1
-    x = m[:, None] if vec else m
-    yt_x = apply_dense(f.y, x, trans=True)
-    out = x - apply_dense(f.y, apply_dense(f.t, yt_x, trans))
-    return out[:, 0] if vec else out
+    return m - apply_dense(f.y, apply_dense(f.t, apply_dense(f.y, m, trans=True), trans))
 
 
 def apply_q_transpose(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
@@ -223,19 +223,20 @@ def apply_q(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
     return _apply_wy(f, m, trans=False)
 
 
-def q_to_hodlr(f: HodlrQRFactors, eps: float) -> HodlrMatrix:
-    """Materialize Q = I - Y T Y^T as a HODLR matrix, recompressed at eps.
+def q_to_hodlr(f: HodlrQRFactors) -> HodlrMatrix:
+    """Materialize Q = I - Y T Y^T as a HODLR matrix at ``f.eps_plain``,
+    the threshold hqr truncated T's coupling blocks at.
 
     The products Y T and (Y T) Y^T truncate each off-diagonal block once
-    at eps; their negation gets I added to its leaves, so any tree hqr
-    accepts works.  Only needed for rank and memory comparisons; the WY
-    pair (Y, T) is the primary representation of Q.  The factors of a
-    rectangular A, whose Y and T have different trees, raise ValueError
-    before any product.
+    at that threshold; their negation gets I added to its leaves, so any
+    tree hqr accepts works.  Only needed for rank and memory comparisons;
+    the WY pair (Y, T) is the primary representation of Q.  The factors
+    of a rectangular A, whose Y and T have different trees, raise
+    ValueError before any product.
     """
     if not f.y.is_square():
         raise ValueError("q_to_hodlr requires the factors of a square matrix")
-    tc = TruncationControl(eps)
+    tc = TruncationControl(f.eps_plain)
     q = scale(multiply(multiply(f.y, f.t, tc), transpose(f.y), tc), -1.0)
     for _, _, x in _nodes(q):
         if x.is_leaf:  # scale made each leaf a new array, so Y and T are untouched

@@ -139,7 +139,8 @@ def structured_qr(a, b, c, eps, u=None, v=None):
     Returns (Y_A, Y_B, Y_C, T, R)."""
     u = np.zeros((a.n, 0)) if u is None else u
     v = np.zeros((a.n_cols, 0)) if v is None else v
-    return hqr_mod._hqr_rec(a, b, c, u, v, eps, eps)
+    tc = TruncationControl(eps)
+    return hqr_mod._hqr_rec(a, b, c, u, v, tc, tc)
 
 
 def structured_y_dense(y_a, y_b, y_c):

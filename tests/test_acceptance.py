@@ -91,7 +91,7 @@ def test_criterion_3_cauchy_robustness():
         a = gen_matrix(f"cauchy:{name}", 2000, seed=0, eps=1e-10)
         norm = converged_norm(a)
         f = hqr(a, 1e-10)
-        m = metrics(a, f, eps=1e-10, estimate=True)
+        m = metrics(a, f, estimate=True)
         rows.append((name, m))
         if name == "a3":
             try:
@@ -200,7 +200,7 @@ def test_criterion_7_recompression_optimality():
 def test_criterion_8_rank_observation():
     a = gen_random_hodlr(1000, 250, 1, seed=0)
     f = hqr(a, 1e-10)
-    m = metrics(a, f, eps=1e-10)
+    m = metrics(a, f)
     ok = m["rank_y"] <= m["rank_q"] and 1.5 <= m["mem_yt_rel"] <= 2.5
     report(ok, "criterion 8 (rank observation)",
            f"rank_Y={m['rank_y']} <= rank_Q={m['rank_q']}, "

@@ -37,6 +37,10 @@ from hodlrqr.cli import main
 
 from conftest import count_calls_everywhere, hodlr_eye
 
+# the lines ``hodlrqr qr`` prints: kappa2, then metrics' dict in its order
+QR_KEYS = ["kappa2", "e_orth", "e_acc", "e_orth_bound", "e_acc_bound", "rank_y", "rank_t",
+           "rank_q", "rank_r", "mem_yt_rel", "mem_q_rel", "mem_r_rel"]
+
 
 def hodlr_equal(h1, h2):
     if h1.is_leaf != h2.is_leaf:
@@ -117,7 +121,7 @@ def test_gen_cauchy_config_rank():
 def test_metrics_identity_factorization():
     a = hodlr_eye(build_partition(96, 24))
     f = hqr(a, 1e-14)
-    m = metrics(a, f, eps=1e-14)
+    m = metrics(a, f)
     u = np.finfo(float).eps
     assert m["e_orth"] <= 96 * u and m["e_acc"] <= 96 * u
 
@@ -249,6 +253,7 @@ def test_cli_gen_qr_round_trip(tmp_path, capsys):
     rc = main(["qr", str(matrix_path), "--eps", "1e-12", "--out-prefix", str(prefix)])
     assert rc == 0
     printed = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+    assert list(printed) == QR_KEYS
     # kappa2 is a property of A, computed once by the command itself
     assert float(printed["kappa2"]) == pytest.approx(np.linalg.cond(to_dense(a)), rel=1e-12)
     y = read_hodlr(f"{prefix}.y.hdlr1")
@@ -269,7 +274,7 @@ def test_cli_qr_estimate_prints_bounds(tmp_path, capsys):
     assert rc == 0
     tokens = capsys.readouterr().out.split()
     printed = dict(tok.split("=", 1) for tok in tokens)
-    assert len(printed) == len(tokens)
+    assert list(printed) == QR_KEYS and len(printed) == len(tokens)
     for key in ("e_orth", "e_acc"):
         assert 0 < float(printed[key]) <= float(printed[f"{key}_bound"])
     assert printed["kappa2"] == "nan"

@@ -21,7 +21,7 @@ from hodlrqr import (
     triangle_rows,
 )
 from hodlrqr import arith, core
-from hodlrqr.arith import apply_dense, scale, transpose
+from hodlrqr.arith import apply_dense, hodlr_spectral_norm, scale, transpose
 from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics
 from hodlrqr.core import left_orthogonalize, sum_lowrank
 from hodlrqr.dense import truncation_rank
@@ -228,8 +228,8 @@ def test_q_to_hodlr_zero_y():
     ident = hodlr_eye(tree)
     from hodlrqr import HodlrQRFactors
     zero = scale(ident, 0.0)
-    f = HodlrQRFactors(y=zero, t=zero, r=ident)
-    q = q_to_hodlr(f, 1e-12)
+    f = HodlrQRFactors(y=zero, t=zero, r=ident, eps_plain=1e-12)
+    q = q_to_hodlr(f)
     assert stats(q)["max_offdiag_rank"] == 0
     assert np.array_equal(to_dense(q), np.eye(64))
 
@@ -240,7 +240,7 @@ def test_q_to_hodlr_dense_check(rng, monkeypatch):
     eps = 1e-12
     f = hqr(h, eps)
     calls = count_calls(monkeypatch, core, "truncate_lowrank")
-    q_h = q_to_hodlr(f, eps)
+    q_h = q_to_hodlr(f)
     assert np.linalg.norm(to_dense(q_h) - dense_q(f), 2) <= 10 * tree.level * eps
     # the truncations of the two products Y T and (Y T) Y^T, and no others:
     # adding I to the leaves recompresses no off-diagonal block a second time
@@ -250,11 +250,23 @@ def test_q_to_hodlr_dense_check(rng, monkeypatch):
 def test_q_to_hodlr_and_metrics_on_an_unbalanced_tree(rng):
     h = nested_hodlr(rng, [(4, 4), [(3, 3), (2, 2)]])
     f = hqr(h, 1e-12)
-    assert np.linalg.norm(to_dense(q_to_hodlr(f, 1e-12)) - dense_q(f), 2) <= 1e-14
-    m = metrics(h, f, eps=1e-12)
+    assert np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2) <= 1e-14
+    m = metrics(h, f)
     for key in ("e_orth", "e_acc", "rank_y", "rank_t", "rank_q", "rank_r"):
         assert np.isfinite(m[key]), key
     assert m["e_orth"] <= 1e-14 and m["e_acc"] <= 1e-13
+
+
+def test_q_to_hodlr_materializes_q_at_the_threshold_hqr_truncated_t_at():
+    # absolute mode: T's coupling blocks, and so Q, are truncated at
+    # eps / ||A||_2, ||A||_2 ~ 16.7 here, not at the raw eps
+    eps = 1e-4
+    a = gen_matrix("cauchy:a3", 1000, eps=eps, absolute_eps=True)
+    f = hqr(a, eps, absolute=True)
+    assert f.eps_plain == eps / hodlr_spectral_norm(a)
+    err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
+    assert err <= 2 * a.level * f.eps_plain
+    assert hqr(a, eps).eps_plain == eps
 
 
 def test_hqr_robust_to_ill_conditioning():
@@ -356,7 +368,7 @@ def test_q_to_hodlr_rejects_rectangular_factors(monkeypatch):
     f = hqr(from_dense(a, tree_rows, TruncationControl(1e-12), tree_cols), 1e-12, absolute=True)
     monkeypatch.setattr(hqr_mod, "multiply", None)  # refused before any product
     with pytest.raises(ValueError, match="q_to_hodlr requires the factors of a square"):
-        q_to_hodlr(f, 1e-12)
+        q_to_hodlr(f)
 
 
 def test_hqr_stays_off_scipy(monkeypatch):

@@ -92,7 +92,7 @@ def test_apply_qt_reduces_input(rng):
 def test_apply_qt_zero_y():
     # Y = 0 makes Q the identity
     zero = HodlrMatrix(dense=np.zeros((6, 6)))
-    f = HodlrQRFactors(y=zero, t=zero, r=HodlrMatrix(dense=np.eye(6)))
+    f = HodlrQRFactors(y=zero, t=zero, r=HodlrMatrix(dense=np.eye(6)), eps_plain=0.0)
     m = np.arange(12.0).reshape(6, 2)
     assert np.array_equal(apply_q_transpose(f, m), m)
 
@@ -102,7 +102,7 @@ def test_apply_qt_matches_explicit_q(rng):
     a = rng.standard_normal((96, 96))
     y, t, r = block_qr(a)
     f = HodlrQRFactors(y=HodlrMatrix(dense=y), t=HodlrMatrix(dense=t),
-                       r=HodlrMatrix(dense=r))
+                       r=HodlrMatrix(dense=r), eps_plain=0.0)
     q = explicit_q(y, t)
     m = rng.standard_normal((96, 5))
     assert np.allclose(apply_q_transpose(f, m), q.T @ m, atol=1e-13 * np.linalg.norm(m))
