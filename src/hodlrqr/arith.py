@@ -12,6 +12,8 @@ from .core import (
     check_finite,
     sum_lowrank,
     truncate_lowrank,
+    _join,
+    _quadrants,
 )
 from .dense import spectral_norm_estimate
 
@@ -116,41 +118,38 @@ def multiply(h1: HodlrMatrix, h2: HodlrMatrix, tc: TruncationControl) -> HodlrMa
 
     Products with a low-rank operand go through matvecs on the factor
     columns.  The products A12 B21 and A21 B12 that join the diagonal
-    blocks travel down as one pending term U V^T, which each off-diagonal
+    blocks travel down as one pending block P, which each off-diagonal
     block adds to its one truncated sum and each leaf densely: one
     truncation at tc per off-diagonal block, 2 (2^level - 1) in all.  For
     a relative error contract choose tc.eps ~ ||H1||_2 ||H2||_2.
     """
     _check_same_tree(h1, h2, "multiply")
-    return _multiply_rec(h1, h2, np.zeros((h1.n, 0)), np.zeros((h1.n, 0)), tc)
+    return _multiply_rec(h1, h2, LowRankBlock.zero(h1.n, h1.n), tc)
 
 
 def gram(a: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
     """A^T A with the leaves and a12 blocks of ``multiply(transpose(a), a, tc)``;
     each a21 is a transpose view of its a12, so the blocks below the diagonal
     cost no products and no truncation: 2^level - 1 truncations in all."""
-    return _multiply_rec(transpose(a), a, np.zeros((a.n, 0)), np.zeros((a.n, 0)), tc, True)
+    return _multiply_rec(transpose(a), a, LowRankBlock.zero(a.n, a.n), tc, True)
 
 
-def _multiply_rec(h1, h2, u, v, tc, symmetric=False) -> HodlrMatrix:
-    # H1 @ H2 + u @ v.T; with ``symmetric`` each a21 mirrors its a12
+def _multiply_rec(h1, h2, p, tc, symmetric=False) -> HodlrMatrix:
+    # H1 @ H2 + P; with ``symmetric`` each a21 mirrors its a12
     if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense @ h2.dense + u @ v.T)
-    m1 = h1.a11.n
-    u1, u2, v1, v2 = u[:m1], u[m1:], v[:m1], v[m1:]
+        return HodlrMatrix(dense=h1.dense @ h2.dense + p.L @ p.R)
+    p11, p12, p21, p22 = _quadrants(p, h1.a11.n, h1.a11.n)
     lr11 = _lowrank_product(h1.a12, h2.a21)
     lr22 = _lowrank_product(h1.a21, h2.a12)
     a12 = sum_lowrank([_hodlr_times_lowrank(h1.a11, h2.a12),
-                       _lowrank_times_hodlr(h1.a12, h2.a22), LowRankBlock(u1, v2.T)], tc)
+                       _lowrank_times_hodlr(h1.a12, h2.a22), p12], tc)
     return HodlrMatrix(
-        a11=_multiply_rec(h1.a11, h2.a11, np.hstack([u1, lr11.L]), np.hstack([v1, lr11.R.T]),
-                          tc, symmetric),
-        a22=_multiply_rec(h1.a22, h2.a22, np.hstack([u2, lr22.L]), np.hstack([v2, lr22.R.T]),
-                          tc, symmetric),
+        a11=_multiply_rec(h1.a11, h2.a11, _join(p11, lr11), tc, symmetric),
+        a22=_multiply_rec(h1.a22, h2.a22, _join(p22, lr22), tc, symmetric),
         a12=a12,
         a21=a12.transpose() if symmetric else sum_lowrank(
             [_lowrank_times_hodlr(h1.a21, h2.a11), _hodlr_times_lowrank(h1.a22, h2.a21),
-             LowRankBlock(u2, v1.T)], tc),
+             p21], tc),
     )
 
 
@@ -185,8 +184,7 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
     lw = _solve_upper_rec(r11, h.a12.L, True)
     w = truncate_lowrank(LowRankBlock(lw, h.a12.R), tc)
     # Schur complement A22 - W^T W
-    u = w.R.T @ (w.L.T @ w.L)
-    schur = _symmetric_update(h.a22, -u, w.R.T, tc)
+    schur = _symmetric_update(h.a22, LowRankBlock(-(w.R.T @ (w.L.T @ w.L)), w.R), tc)
     r22 = _cholesky_rec(schur, tc, leaf_offset + len(h.a11.leaf_sizes()))
     return HodlrMatrix(
         a11=r11, a22=r22, a12=w,
@@ -194,17 +192,16 @@ def _cholesky_rec(h: HodlrMatrix, tc: TruncationControl, leaf_offset: int) -> Ho
     )
 
 
-def _symmetric_update(h, u, v, tc) -> HodlrMatrix:
-    # H + u @ v.T: dense on the leaves, one truncated sum per a12; each a21
-    # mirrors its a12
-    if u.shape[1] == 0:
+def _symmetric_update(h, p, tc) -> HodlrMatrix:
+    # H + P: dense on the leaves, one truncated sum per a12; each a21 mirrors its a12
+    if p.rank == 0:
         return h
     if h.is_leaf:
-        return HodlrMatrix(dense=h.dense + u @ v.T)
-    m1 = h.a11.n
-    a12 = sum_lowrank([h.a12, LowRankBlock(u[:m1], v[m1:].T)], tc)
-    return HodlrMatrix(a11=_symmetric_update(h.a11, u[:m1], v[:m1], tc),
-                       a22=_symmetric_update(h.a22, u[m1:], v[m1:], tc),
+        return HodlrMatrix(dense=h.dense + p.L @ p.R)
+    p11, p12, _, p22 = _quadrants(p, h.a11.n, h.a11.n)
+    a12 = sum_lowrank([h.a12, p12], tc)
+    return HodlrMatrix(a11=_symmetric_update(h.a11, p11, tc),
+                       a22=_symmetric_update(h.a22, p22, tc),
                        a12=a12, a21=a12.transpose())
 
 
@@ -243,7 +240,7 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
     """X = B @ R^{-1} for upper triangular HODLR R, by recursive forward
     substitution on the block structure with recompression.
 
-    The update -X21 R12 of B22 travels down as a pending term U V^T, added
+    The update -X21 R12 of B22 travels down as a pending block P, added
     to B12 in its one truncated sum, to B21 by a truncation (none down the
     left edge, where it is empty) and to the leaves densely: at most
     2 (2^level - 1) - level truncations.  The right factors of X21 and X12
@@ -252,29 +249,26 @@ def solve_upper_triangular_right(b: HodlrMatrix, r: HodlrMatrix,
     """
     _check_same_tree(b, r, "solve_upper_triangular_right")
     check_finite("solve_upper_triangular_right", b, r)
-    empty = np.zeros((b.n, 0))
-    return _solve_right_rec(b, r, empty, empty, np.zeros((0, b.n)), tc)[0]
+    return _solve_right_rec(b, r, LowRankBlock.zero(b.n, b.n), np.zeros((0, b.n)), tc)[0]
 
 
-def _solve_right_rec(b, r, u, v, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
-    # (B + u @ v.T) @ R^{-1} and rows @ R^{-1}
+def _solve_right_rec(b, r, p, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
+    # (B + P) @ R^{-1} and rows @ R^{-1}
     if b.is_leaf:
         # all rows in one solve: X R = Z  <=>  R^T X^T = Z^T
-        x = _leaf_solve_upper(r.dense, np.vstack([b.dense + u @ v.T, rows]).T, trans=True).T
+        x = _leaf_solve_upper(r.dense, np.vstack([b.dense + p.L @ p.R, rows]).T, trans=True).T
         return HodlrMatrix(dense=x[:b.n]), x[b.n:]
     m1, s, r12 = b.a11.n, rows.shape[0], r.a12
-    u1, u2, v1, v2 = u[:m1], u[m1:], v[:m1], v[m1:]
-    b21 = sum_lowrank([b.a21, LowRankBlock(u2, v1.T)], tc) if u.shape[1] else b.a21
-    # X11 R11 = B11 + U1 V1^T, and X21 R11 = B21 through the rows
-    x11, y1 = _solve_right_rec(b.a11, r.a11, u1, v1, np.vstack([rows[:, :m1], b21.R]), tc)
+    p11, p12, p21, p22 = _quadrants(p, m1, m1)
+    b21 = sum_lowrank([b.a21, p21], tc) if p.rank else b.a21
+    # X11 R11 = B11 + P11, and X21 R11 = B21 through the rows
+    x11, y1 = _solve_right_rec(b.a11, r.a11, p11, np.vstack([rows[:, :m1], b21.R]), tc)
     x21 = LowRankBlock(b21.L, y1[s:])
-    # X12 R22 = B12 + U1 V2^T - X11 R12, and X22 R22 = B22 + U2 V2^T - X21 R12
-    num12 = sum_lowrank([b.a12, _hodlr_times_lowrank(x11, r12).scaled(-1.0),
-                         LowRankBlock(u1, v2.T)], tc)
-    cross = _lowrank_product(x21, r12)
+    # X12 R22 = B12 + P12 - X11 R12, and X22 R22 = B22 + P22 - X21 R12
+    num12 = sum_lowrank([b.a12, _hodlr_times_lowrank(x11, r12).scaled(-1.0), p12], tc)
+    cross = _lowrank_product(x21, r12).scaled(-1.0)
     rows2 = np.vstack([rows[:, m1:] - (y1[:s] @ r12.L) @ r12.R, num12.R])
-    x22, y2 = _solve_right_rec(b.a22, r.a22, np.hstack([u2, -cross.L]),
-                               np.hstack([v2, cross.R.T]), rows2, tc)
+    x22, y2 = _solve_right_rec(b.a22, r.a22, _join(p22, cross), rows2, tc)
     x = HodlrMatrix(a11=x11, a22=x22, a12=LowRankBlock(num12.L, y2[s:]), a21=x21)
     return x, np.hstack([y1[:s], y2[:s]])
 

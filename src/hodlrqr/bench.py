@@ -338,7 +338,7 @@ def _kappa2(a) -> float:
     sigma_min does for np.linalg.cond.  n <= 2 (too small for ARPACK)
     falls back to np.linalg.cond.  Equal inputs give bit-identical values.
     """
-    a_d = to_dense(a) if isinstance(a, HodlrMatrix) else np.asarray(a, dtype=float)
+    a_d = _dense(a)
     n = a_d.shape[0]
     if n <= 2:
         return float(np.linalg.cond(a_d, 2))

@@ -136,15 +136,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_qr(args) -> int:
     paths = {name: f"{args.out_prefix}.{name}.hdlr1" for name in "ytr"}
-    try:  # an unusable input or output path is refused before hqr runs
-        a = read_hodlr(args.input)
-        check_finite("hodlrqr qr", a)
-        if not args.estimate:
-            check_dense_size(a.n)
-        _check_writable(*paths.values())
-    except (OSError, FormatError, CorruptionError, ValueError) as err:
-        print(f"hodlrqr qr: {err}", file=sys.stderr)
-        return 2
+    a = read_hodlr(args.input)  # a bad input or output path is refused before hqr runs
+    check_finite("hodlrqr qr", a)
+    if not args.estimate:
+        check_dense_size(a.n)
+    _check_writable(*paths.values())
     f = hqr(a, args.eps, absolute=args.absolute_eps)
     for name, factor in (("y", f.y), ("t", f.t), ("r", f.r)):
         write_hodlr(factor, paths[name])
@@ -184,7 +180,7 @@ def main(argv=None) -> int:
     handlers = {"gen": _cmd_gen, "qr": _cmd_qr, "bench": _cmd_bench, "sweep": _cmd_sweep}
     try:
         return handlers[args.command](args)
-    except OSError as err:  # a path that cannot be read or written
+    except (OSError, FormatError, CorruptionError, ValueError) as err:  # a bad path or input
         print(f"hodlrqr {args.command}: {err}", file=sys.stderr)
         return 2
 

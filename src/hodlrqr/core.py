@@ -290,6 +290,17 @@ def _sum_lowrank(blocks, tc: TruncationControl) -> LowRankBlock:
     return _joined_sum(blocks, lambda b: _truncate_shared([np.linalg.qr(b.L)], b.R, tc)[0])
 
 
+def _quadrants(p: LowRankBlock, m1: int, n1: int) -> tuple[LowRankBlock, ...]:
+    # P11, P12, P21, P22: P split after row m1 and column n1, views of its factors
+    l1, l2, r1, r2 = p.L[:m1], p.L[m1:], p.R[:, :n1], p.R[:, n1:]
+    return LowRankBlock(l1, r1), LowRankBlock(l1, r2), LowRankBlock(l2, r1), LowRankBlock(l2, r2)
+
+
+def _join(p: LowRankBlock, q: LowRankBlock) -> LowRankBlock:
+    # P + Q, R the transpose of the joined R^T: gemm's bits, so CholQR's, depend on layout
+    return LowRankBlock(np.hstack([p.L, q.L]), np.hstack([p.R.T, q.R.T]).T)
+
+
 def _joined_sum(blocks, truncate) -> LowRankBlock:
     blocks = list(blocks)
     if all(b.rank == 0 for b in blocks):

@@ -6,7 +6,7 @@ the bottom.  The orthogonal factor is returned in compact WY form
 Q = I - Y T Y^T with Y unit lower triangular and T, R upper triangular
 HODLR matrices.  The update of each trailing block A22 is not applied to
 its subtree: it travels down the recursion as one truncated pending
-low-rank pair, so no A22 subtree is copied.
+low-rank block, so no A22 subtree is copied.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from .core import (
     check_finite,
     left_orthogonalize,
     _nodes,
+    _quadrants,
     _sum_lowrank,
     _truncate_shared,
 )
@@ -76,7 +77,7 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     else:
         eps_abs, eps_plain = eps * norm, eps
     y, _, _, t, r = _hqr_rec(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)),
-                             np.zeros((a.n, 0)), np.zeros((a.n_cols, 0)),
+                             LowRankBlock.zero(a.n, a.n_cols),
                              TruncationControl(eps_abs), TruncationControl(eps_plain))
     return HodlrQRFactors(y=y, t=t, r=r, eps_plain=eps_plain)
 
@@ -93,13 +94,13 @@ def triangle_rows(h: HodlrMatrix) -> np.ndarray:
     return np.concatenate([i + np.arange(x.n_cols) for i, _, x in _nodes(h) if x.is_leaf])
 
 
-def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: np.ndarray,
+def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
              tc_abs: TruncationControl, tc_plain: TruncationControl
              ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
-    """One recursion step on the structured block column [A + u v^T; B; C]:
-    an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, a pending
-    pair (u, v), a factorized p x n low-rank block B and r2 x n dense
-    coupling rows C.  B, C and the pending pair may be empty.
+    """One recursion step on the structured block column [A + P; B; C]:
+    an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, an m x n
+    pending low-rank block P, a factorized s x n low-rank block B and
+    r2 x n dense coupling rows C.  B, C and P may be empty.
 
     Returns (Y_A, Y_B, Y_C, T, R): the three parts of Y mirror the column,
     and T, R are n x n upper triangular HODLR matrices over A's column
@@ -107,13 +108,13 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
     n_j rows (see ``triangle_rows``): R holds those rows of the reduced
     column and every other row of A is reduced to zero.
 
-    The update -Y21 S of A22 travels down as one pending pair (u, v),
-    truncated at tc_abs except above a leaf: the leaves add it densely
-    before their QR, each A21 joins it in the truncated sum that becomes
-    the child's B, and each A12 takes it as extra columns.  No A22 subtree
-    is copied.  A frame keeps alive only what later steps read: no block of
-    Y, T or R, nor its Y_C, is a view of a larger array; its C, rows
-    [B_R; C] and A21 join go before the second child, the pending pair after.
+    The update -Y21 S of A22 travels down as one pending block P, truncated
+    at tc_abs except above a leaf: the leaves add it densely before their
+    QR, each A21 joins its quadrant in the truncated sum that becomes the
+    child's B, and each A12 takes its quadrant's factors as extra columns.
+    No A22 subtree is copied.  A frame keeps alive only what later steps
+    read: no block of Y, T or R, nor its Y_C, is a view of a larger array;
+    its C, rows [B_R; C] and A21 join go before the second child, that child's P after.
     """
     b = left_orthogonalize(b)
     m = a.n
@@ -122,23 +123,19 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
     rows = np.vstack([b.R, c])
 
     if a.is_leaf:
-        # compressed column [A + u v^T; B_R; C] reduced by dense Householder QR
-        y, t, r = block_qr(np.vstack([a.dense + u @ v.T, rows]))
+        # compressed column [A + P; B_R; C] reduced by dense Householder QR
+        y, t, r = block_qr(np.vstack([a.dense + p.L @ p.R, rows]))
         return (HodlrMatrix(dense=y[:m].copy()),
                 LowRankBlock(b.L, y[m:m + k_b].copy(), b.left_orthogonal),
                 y[m + k_b:].copy(), HodlrMatrix(dense=t), HodlrMatrix(dense=r))
 
     a11, a22 = a.a11, a.a22
     m1, n1 = a11.n, a11.n_cols
-    # first block column [A11 + u1 v1^T; A21 + u2 v1^T; rows1] has the same
-    # structure one level down
-    a21 = a.a21
-    if u.shape[1]:
-        a21 = _sum_lowrank([a21, LowRankBlock(u[m1:], v[:n1].T)], tc_abs)
-    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], u[:m1], v[:n1],
-                                       tc_abs, tc_plain)
-    a12_upd, pending, rows2 = _update_second_column(a, u, v, rows, y11, y21, y1_c, t1,
-                                                    tc_abs)
+    p11, _, p21, _ = _quadrants(p, m1, n1)
+    # first block column [A11 + P11; A21 + P21; rows1]: the same structure one level down
+    a21 = _sum_lowrank([a.a21, p21], tc_abs) if p.rank else a.a21
+    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], p11, tc_abs, tc_plain)
+    a12_upd, pending, rows2 = _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc_abs)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
     # block column but not in the second: they join it as its b
     b2 = LowRankBlock.zero(0, a22.n_cols)
@@ -148,8 +145,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
         b2 = LowRankBlock(a12_upd.L[rest], a12_upd.R)
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
     del c, rows, a21  # not read below: they would stay alive through the second child
-    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending.L, pending.R.T,
-                                        tc_abs, tc_plain)
+    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending, tc_abs, tc_plain)
     del pending
 
     # coupling block of T, truncated at the plain tolerance
@@ -172,37 +168,37 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, u: np.ndarray, v: n
     return y_a, y_b, np.hstack([y1_c[k_b:], y2_c[k_b:]]), t, r
 
 
-def _update_second_column(a, u, v, rows, y11, y21, y1_c, t1, tc):
-    # Subtract Y1 S, S = T1^T Y1^T [A12 + u1 v2^T; A22 + u2 v2^T; rows2],
+def _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc):
+    # Subtract Y1 S, S = T1^T Y1^T [A12 + P12; A22 + P22; rows2],
     # Y1 = [Y11; Y21; Y1_C] the first child's Y, from the second block
-    # column: returns the updated A12, the A22 update joined to (u2, v2) as
-    # one pending pair, and the updated rows.  S is kept exact as G M,
-    # M = [A12.R; v2^T; (A22^T Y21.L + v2 u2^T Y21.L)^T; rows2] the joined
-    # right factor of its three terms, so A12 and the pending pair are
-    # truncated against the R of one QR of M^T (its Q is not formed); above
-    # a leaf the pending pair stays exact.
+    # column: returns the updated A12, the A22 update joined to P22 as one
+    # pending block, and the updated rows.  S is kept exact as G M,
+    # M = [A12.R; P22.R; (A22^T Y21.L + P22^T Y21.L)^T; rows2] the joined
+    # right factor of its three terms (P12.R = P22.R), so A12 and the
+    # pending block are truncated against the R of one QR of M^T (its Q is
+    # not formed); above a leaf the pending block stays exact.
     m1, n1 = a.a11.n, a.a11.n_cols
-    u1, u2, v2 = u[:m1], u[m1:], v[n1:]
-    a12_l = np.hstack([a.a12.L, u1])
+    _, p12, _, p22 = _quadrants(p, m1, n1)
+    a12_l = np.hstack([a.a12.L, p12.L])
     k_a, k_a12 = a.a12.rank, a12_l.shape[1]
-    m = np.vstack([a.a12.R, v2.T, (apply_dense(a.a22, y21.L, trans=True)
-                                   + v2 @ (u2.T @ y21.L)).T, rows[:, n1:]])
+    m = np.vstack([a.a12.R, p22.R, (apply_dense(a.a22, y21.L, trans=True)
+                                    + p22.R.T @ (p22.L.T @ y21.L)).T, rows[:, n1:]])
     g = apply_dense(t1, np.hstack([apply_dense(y11, a12_l, trans=True), y21.R.T,
                                    y1_c.T]), trans=True)
     a12_l_upd = -apply_dense(y11, g)
     a12_l_upd[:, :k_a12] += a12_l
     rows2 = rows[:, n1:] - (y1_c @ g) @ m
-    # the pending left factor -Y21.L (Y21.R G), plus u2 on columns k_a:k_a12,
-    # is [Y21.L, Q_w] C for u2 = Y21.L P + Q_w R_w (block Gram-Schmidt twice
-    # against the orthonormal Y21.L), so only the k_u columns of u2 take a QR
-    p = y21.L.T @ u2
-    w = u2 - y21.L @ p
-    p2 = y21.L.T @ w
-    q_w, r_w = np.linalg.qr(w - y21.L @ p2, mode="reduced")
+    # the pending left factor -Y21.L (Y21.R G), plus P22.L on columns k_a:k_a12,
+    # is [Y21.L, Q_w] C for P22.L = Y21.L X + Q_w R_w (block Gram-Schmidt twice
+    # against the orthonormal Y21.L), so only the columns of P22.L take a QR
+    x = y21.L.T @ p22.L
+    w = p22.L - y21.L @ x
+    x2 = y21.L.T @ w
+    q_w, r_w = np.linalg.qr(w - y21.L @ x2, mode="reduced")
     c = np.vstack([-(y21.R @ g), np.zeros((q_w.shape[1], m.shape[0]))])
-    c[:, k_a:k_a12] += np.vstack([p + p2, r_w])
+    c[:, k_a:k_a12] += np.vstack([x + x2, r_w])
     a12_qr, basis = np.linalg.qr(a12_l_upd, mode="reduced"), np.hstack([y21.L, q_w])
-    if a.a22.is_leaf:  # the leaf adds the pending pair densely, untruncated
+    if a.a22.is_leaf:  # the leaf adds the pending block densely, untruncated
         return _truncate_shared([a12_qr], m, tc)[0], LowRankBlock(basis @ c, m), rows2
     return (*_truncate_shared([a12_qr, (basis, c)], m, tc), rows2)
 

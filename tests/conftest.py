@@ -133,14 +133,13 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
     return to_dense(_random_hodlr(tree_rows, tree_cols, offdiag_rank, seed)), tree_rows, tree_cols
 
 
-def structured_qr(a, b, c, eps, u=None, v=None):
-    """hqr's recursion step on the structured block column [A + u v^T; B; C]
-    with both tolerances at eps and, by default, no pending pair (u, v).
+def structured_qr(a, b, c, eps, p=None):
+    """hqr's recursion step on the structured block column [A + P; B; C]
+    with both tolerances at eps and, by default, no pending block P.
     Returns (Y_A, Y_B, Y_C, T, R)."""
-    u = np.zeros((a.n, 0)) if u is None else u
-    v = np.zeros((a.n_cols, 0)) if v is None else v
+    p = LowRankBlock.zero(a.n, a.n_cols) if p is None else p
     tc = TruncationControl(eps)
-    return hqr_mod._hqr_rec(a, b, c, u, v, tc, tc)
+    return hqr_mod._hqr_rec(a, b, c, p, tc, tc)
 
 
 def structured_y_dense(y_a, y_b, y_c):

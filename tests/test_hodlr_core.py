@@ -27,6 +27,8 @@ from hodlrqr import (
 )
 import hodlrqr
 from hodlrqr.core import (
+    _join,
+    _quadrants,
     _truncate_shared,
     check_finite,
     left_orthogonalize,
@@ -359,6 +361,29 @@ def test_sum_lowrank_rank_zero_operands_keep_first_block(rng):
     out = sum_lowrank([first, nonzero], tc)
     assert out.rank == 1 and out.left_orthogonal
     assert np.allclose(out.to_dense(), nonzero.to_dense())
+
+
+def test_pending_block_helpers_keep_views_and_layout(rng):
+    # _quadrants hands out views of P's factors; _join stores R as the
+    # transpose of the column-joined R^T, the layout on which the leaves'
+    # L @ R products, and so CholQR's bits, depend.  P's R is a transposed
+    # C-contiguous array, as after a join; there a vstack of the Rs would
+    # give R^T another layout.  Integer entries make every product exact,
+    # whatever order BLAS sums in
+    def ints(*shape):
+        return rng.integers(-4, 5, shape).astype(float)
+
+    p, q = LowRankBlock(ints(7, 3), ints(5, 3).T), LowRankBlock(ints(7, 2), ints(2, 5))
+    dense = p.to_dense()
+    rows, cols = (slice(None, 4), slice(4, None)), (slice(None, 2), slice(2, None))
+    quads = _quadrants(p, 4, 2)
+    for quad, (i, j) in zip(quads, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        assert np.shares_memory(quad.L, p.L) and np.shares_memory(quad.R, p.R)
+        assert np.array_equal(quad.to_dense(), dense[rows[i], cols[j]])
+    joined = _join(p, q)
+    assert np.array_equal(joined.L, np.hstack([p.L, q.L]))
+    assert np.array_equal(joined.R, np.vstack([p.R, q.R]))
+    assert joined.R.T.flags.c_contiguous
 
 
 def test_left_orthogonalize_one_column():

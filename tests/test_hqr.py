@@ -567,16 +567,16 @@ def test_hqr_peak_memory_is_its_factors_plus_one_frame():
 
 
 def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
-    # the pending left factor -Y21.L (Y21.R G) + u2 has as many columns as
-    # the shared right factor (K) but lies in the span of [Y21.L, u2]: it is
+    # the pending left factor -Y21.L (Y21.R G) + P22.L has as many columns as
+    # the shared right factor (K) but lies in the span of [Y21.L, P22.L]: it is
     # truncated in a basis of k_y21 + k_u columns, and not at all above a
     # leaf, which adds it densely
     frames, bases = [], []
     update, truncate = hqr_mod._update_second_column, hqr_mod._truncate_shared
 
-    def spy_update(a, u, v, rows, y11, y21, y1_c, t1, tc):
-        frames.append((y21.rank, u.shape[1], a.a22.is_leaf))
-        return update(a, u, v, rows, y11, y21, y1_c, t1, tc)
+    def spy_update(a, p, rows, y11, y21, y1_c, t1, tc):
+        frames.append((y21.rank, p.rank, a.a22.is_leaf))
+        return update(a, p, rows, y11, y21, y1_c, t1, tc)
 
     def spy_truncate(lefts, right, tc):
         bases.append([q.shape[1] for q, _ in lefts[1:]] + [right.shape[0]])
@@ -598,8 +598,8 @@ def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
 
 
 def test_update_second_column_matches_dense_oracle():
-    # a level-2 column [A + u v^T; C] with a pending pair; at eps = 0 the
-    # updated A12, A22 + pending pair and rows equal their dense values
+    # a level-2 column [A + u v^T; C] with the pending block u v^T; at eps = 0
+    # the updated A12, A22 + pending block and rows equal their dense values
     m, p, r2 = 128, 3, 5
     rng = np.random.default_rng(37)
     a, dense, _ = random_hodlr_pair(m, 32, rank=2, seed=37)
@@ -608,8 +608,9 @@ def test_update_second_column_matches_dense_oracle():
     m1 = a.a11.n
     tc = TruncationControl(0.0)
     a21 = sum_lowrank([a.a21, LowRankBlock(u[m1:], v[:m1].T)], tc)
-    *y1, t1, _ = structured_qr(a.a11, a21, rows[:, :m1], 0.0, u[:m1], v[:m1])
-    a12_upd, pending, rows2 = hqr_mod._update_second_column(a, u, v, rows, *y1, t1, tc)
+    *y1, t1, _ = structured_qr(a.a11, a21, rows[:, :m1], 0.0, LowRankBlock(u[:m1], v[:m1].T))
+    a12_upd, pending, rows2 = hqr_mod._update_second_column(a, LowRankBlock(u, v.T), rows,
+                                                            *y1, t1, tc)
 
     second = np.vstack([dense[:, m1:] + u @ v[m1:].T, rows[:, m1:]])
     y1_dense = structured_y_dense(*y1)
