@@ -13,6 +13,7 @@ from .core import (
     sum_lowrank,
     truncate_lowrank,
     _join,
+    _leaf_panel,
     _quadrants,
 )
 from .dense import spectral_norm_estimate
@@ -137,7 +138,9 @@ def gram(a: HodlrMatrix, tc: TruncationControl) -> HodlrMatrix:
 def _multiply_rec(h1, h2, p, tc, symmetric=False) -> HodlrMatrix:
     # H1 @ H2 + P; with ``symmetric`` each a21 mirrors its a12
     if h1.is_leaf:
-        return HodlrMatrix(dense=h1.dense @ h2.dense + p.L @ p.R)
+        leaf = h1.dense @ h2.dense
+        leaf += p.L @ p.R
+        return HodlrMatrix(dense=leaf)
     p11, p12, p21, p22 = _quadrants(p, h1.a11.n, h1.a11.n)
     lr11 = _lowrank_product(h1.a12, h2.a21)
     lr22 = _lowrank_product(h1.a21, h2.a12)
@@ -197,7 +200,7 @@ def _symmetric_update(h, p, tc) -> HodlrMatrix:
     if p.rank == 0:
         return h
     if h.is_leaf:
-        return HodlrMatrix(dense=h.dense + p.L @ p.R)
+        return HodlrMatrix(dense=_leaf_panel(h.dense, p, np.empty((0, h.n))))
     p11, p12, _, p22 = _quadrants(p, h.a11.n, h.a11.n)
     a12 = sum_lowrank([h.a12, p12], tc)
     return HodlrMatrix(a11=_symmetric_update(h.a11, p11, tc),
@@ -256,7 +259,7 @@ def _solve_right_rec(b, r, p, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
     # (B + P) @ R^{-1} and rows @ R^{-1}
     if b.is_leaf:
         # all rows in one solve: X R = Z  <=>  R^T X^T = Z^T
-        x = _leaf_solve_upper(r.dense, np.vstack([b.dense + p.L @ p.R, rows]).T, trans=True).T
+        x = _leaf_solve_upper(r.dense, _leaf_panel(b.dense, p, rows).T, trans=True).T
         return HodlrMatrix(dense=x[:b.n]), x[b.n:]
     m1, s, r12 = b.a11.n, rows.shape[0], r.a12
     p11, p12, p21, p22 = _quadrants(p, m1, m1)

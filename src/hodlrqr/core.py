@@ -301,6 +301,15 @@ def _join(p: LowRankBlock, q: LowRankBlock) -> LowRankBlock:
     return LowRankBlock(np.hstack([p.L, q.L]), np.hstack([p.R.T, q.R.T]).T)
 
 
+def _leaf_panel(d: np.ndarray, p: LowRankBlock, rows: np.ndarray) -> np.ndarray:
+    # [D + P; rows] in one new C-contiguous array, P's product formed in place
+    out = np.empty((len(d) + len(rows), d.shape[1]))
+    np.matmul(p.L, p.R, out=out[:len(d)])
+    out[:len(d)] += d
+    out[len(d):] = rows
+    return out
+
+
 def _joined_sum(blocks, truncate) -> LowRankBlock:
     blocks = list(blocks)
     if all(b.rank == 0 for b in blocks):

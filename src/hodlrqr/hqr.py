@@ -19,6 +19,7 @@ from .core import (
     TruncationControl,
     check_finite,
     left_orthogonalize,
+    _leaf_panel,
     _nodes,
     _quadrants,
     _sum_lowrank,
@@ -114,7 +115,9 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     child's B, and each A12 takes its quadrant's factors as extra columns.
     No A22 subtree is copied.  A frame keeps alive only what later steps
     read: no block of Y, T or R, nor its Y_C, is a view of a larger array;
-    its C, rows [B_R; C] and A21 join go before the second child, that child's P after.
+    its C, rows [B_R; C] and A21 join go before the second child, that
+    child's P after.  A leaf's panel [A + P; B_R; C] is one array that
+    block_qr frees, and Y_A is geqrf's buffer when no rows lie below A.
     """
     b = left_orthogonalize(b)
     m = a.n
@@ -123,9 +126,9 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     rows = np.vstack([b.R, c])
 
     if a.is_leaf:
-        # compressed column [A + P; B_R; C] reduced by dense Householder QR
-        y, t, r = block_qr(np.vstack([a.dense + p.L @ p.R, rows]))
-        return (HodlrMatrix(dense=y[:m].copy()),
+        # compressed column [A + P; B_R; C] reduced by dense Householder QR; unnamed, block_qr frees it
+        y, t, r = block_qr(_leaf_panel(a.dense, p, rows))
+        return (HodlrMatrix(dense=y[:m].copy() if len(rows) else y),
                 LowRankBlock(b.L, y[m:m + k_b].copy(), b.left_orthogonal),
                 y[m + k_b:].copy(), HodlrMatrix(dense=t), HodlrMatrix(dense=r))
 

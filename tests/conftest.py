@@ -120,6 +120,17 @@ def count_calls_everywhere(monkeypatch, module, name) -> list:
     return [count_calls(monkeypatch, mod, name) for mod in bound]
 
 
+class NoScipy:
+    """Stand-in for a module's ``scipy`` that fails any attribute access,
+    naming ``caller``: the code under test must not reach scipy."""
+
+    def __init__(self, caller):
+        self.caller = caller
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{self.caller} reached scipy.{name}")
+
+
 def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
     """Random rectangular block matrix with the recipe of
     bench.gen_random_hodlr, as a dense array.  Returns (dense, tree_rows,

@@ -25,6 +25,7 @@ from hodlrqr.arith import (
 from hodlrqr.bench import gen_matrix, gen_random_hodlr
 
 from conftest import (
+    NoScipy,
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
@@ -434,11 +435,6 @@ def test_gram_mirrors_the_upper_blocks_of_multiply(monkeypatch, n_min):
     assert_mirrored(g)
 
 
-class _NoScipy:
-    def __getattr__(self, name):
-        raise AssertionError(f"a solve reached scipy.{name}")
-
-
 @pytest.mark.parametrize("where", ["leaf", "factor", "b"])
 @pytest.mark.parametrize("trans", [False, True])
 def test_solvers_reject_non_finite_input_before_any_solve(monkeypatch, where, trans):
@@ -453,7 +449,7 @@ def test_solvers_reject_non_finite_input_before_any_solve(monkeypatch, where, tr
         r.a11.a12.R[1, 0] = np.inf
     else:
         b[40, 1] = np.nan
-    monkeypatch.setattr(arith, "scipy", _NoScipy())
+    monkeypatch.setattr(arith, "scipy", NoScipy("a solve"))
     with pytest.raises(ValueError, match="solve_upper_dense input has non-finite"):
         solve_upper_dense(r, b, trans=trans)
     if where != "b":

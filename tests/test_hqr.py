@@ -28,6 +28,7 @@ from hodlrqr.dense import truncation_rank
 from hodlrqr.wy import block_qr
 
 from conftest import (
+    NoScipy,
     UNIT_LOWER_TRIANGULAR,
     UPPER_TRIANGULAR,
     count_calls,
@@ -358,11 +359,6 @@ def test_hqr_rejects_bad_eps_before_work(monkeypatch, eps, absolute):
         hqr(h, eps, absolute=absolute)
 
 
-class _NoScipy:
-    def __getattr__(self, name):
-        raise AssertionError(f"hqr reached scipy.{name}")
-
-
 def test_q_to_hodlr_rejects_rectangular_factors(monkeypatch):
     a, tree_rows, tree_cols = gen_random_rect_dense(300, 160, 40, seed=42)
     f = hqr(from_dense(a, tree_rows, TruncationControl(1e-12), tree_cols), 1e-12, absolute=True)
@@ -376,7 +372,7 @@ def test_hqr_stays_off_scipy(monkeypatch):
     # second thread pool beside numpy's
     for name in ("arith", "core", "dense", "hqr", "wy"):
         module = importlib.import_module(f"hodlrqr.{name}")
-        monkeypatch.setattr(module, "scipy", _NoScipy(), raising=False)
+        monkeypatch.setattr(module, "scipy", NoScipy("hqr"), raising=False)
     h, dense, tree = random_hodlr_pair(128, 32, rank=2, seed=12)
     assert tree.level == 2
     f = hqr(h, 1e-12)
@@ -547,23 +543,36 @@ def test_hqr_truncates_only_through_the_private_kernel(monkeypatch):
     assert sum(map(len, private)) == 3 * (2 ** a.level - 1) - a.level
 
 
-def test_hqr_peak_memory_is_its_factors_plus_one_frame():
-    # A frame drops its rows, A21 join and pending pair once they are dead,
-    # no y_c is a view of a leaf panel, and no Q of a right factor is formed,
-    # so beyond the factors only the step under way holds memory.  The peak
-    # comes late, with Y, T and R nearly complete: here in the QR of the last
-    # leaf, whose input, raw buffer, Y and R coexist just before its three
-    # leaves join the factors, 1.6 leaf blocks (250 x 250) above them.  With
-    # dead frame state and the Q of right factors the peak was 5.1 blocks up.
-    a = gen_random_hodlr(2000, 250, 16, seed=0)
+def _hqr_peak_and_factor_bytes(a):
     tracemalloc.start()
     try:
         f = hqr(a, 1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scalars = sum(stats(h)["memory_scalars"] for h in (f.y, f.t, f.r))
-    assert peak <= 8 * scalars + 2.5 * 8 * 250 ** 2
+    return peak, 8 * sum(stats(h)["memory_scalars"] for h in (f.y, f.t, f.r))
+
+
+def test_hqr_peak_memory_is_its_factors_plus_one_frame():
+    # A frame drops its rows, A21 join and pending pair once they are dead,
+    # no y_c is a view of a leaf panel, and no Q of a right factor is formed,
+    # so beyond the factors only the step under way holds memory.  The peak
+    # comes late, with Y, T and R nearly complete: here in the sum that forms
+    # the T coupling block of the root's second child, 1.16 leaf blocks
+    # (250 x 250) above them.  It was 1.56 blocks in the QR of the last leaf
+    # while its input, raw buffer, Y and R coexisted, and 5.1 blocks with
+    # dead frame state and the Q of right factors.
+    peak, factors = _hqr_peak_and_factor_bytes(gen_random_hodlr(2000, 250, 16, seed=0))
+    assert peak <= factors + 2.5 * 8 * 250 ** 2
+
+
+def test_hqr_leaf_qr_holds_no_leaf_sized_temporary():
+    # the leaf panel is built in one array that block_qr frees after geqrf,
+    # Y keeps geqrf's buffer and T the Gram matrix's, so at rank 1 the last
+    # leaf's QR ends 0.07 leaf blocks above the factors it completes; with a
+    # tril copy of Y and T beside its Gram matrix it was 1.17
+    peak, factors = _hqr_peak_and_factor_bytes(gen_random_hodlr(1000, 250, 1, seed=1))
+    assert peak <= factors + 0.25 * 8 * 250 ** 2
 
 
 def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
