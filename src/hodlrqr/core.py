@@ -68,18 +68,18 @@ class TruncationControl:
 
 
 class LowRankBlock:
-    """Off-diagonal block stored as L @ R with L (n_rows x k), R (k x n_cols)."""
+    """Off-diagonal block stored as L @ R with L (n_rows x k), R (k x n_cols);
+    hqr makes the L of each B block orthonormal where it makes the block."""
 
-    __slots__ = ("L", "R", "left_orthogonal")
+    __slots__ = ("L", "R")
 
-    def __init__(self, L: np.ndarray, R: np.ndarray, left_orthogonal: bool = False):
+    def __init__(self, L: np.ndarray, R: np.ndarray):
         L = np.asarray(L, dtype=float)
         R = np.asarray(R, dtype=float)
         if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[0]:
             raise ValueError(f"inconsistent low-rank factors {L.shape} x {R.shape}")
         self.L = L
         self.R = R
-        self.left_orthogonal = bool(left_orthogonal)
 
     @property
     def n_rows(self) -> int:
@@ -100,11 +100,11 @@ class LowRankBlock:
         return LowRankBlock(self.R.T, self.L.T)
 
     def scaled(self, alpha: float) -> "LowRankBlock":
-        return LowRankBlock(alpha * self.L, self.R, False)
+        return LowRankBlock(alpha * self.L, self.R)
 
     @staticmethod
     def zero(n_rows: int, n_cols: int) -> "LowRankBlock":
-        return LowRankBlock(np.zeros((n_rows, 0)), np.zeros((0, n_cols)), True)
+        return LowRankBlock(np.zeros((n_rows, 0)), np.zeros((0, n_cols)))
 
 
 class HodlrMatrix:
@@ -218,8 +218,7 @@ def compress_block(block: np.ndarray, tc: TruncationControl) -> LowRankBlock:
         return LowRankBlock.zero(n_rows, n_cols)
     u, sigma, v = svd(block)
     k = truncation_rank(sigma, tc.eps)
-    return LowRankBlock(u[:, :k].copy(), sigma[:k, None] * v[:, :k].T,
-                        left_orthogonal=True)
+    return LowRankBlock(u[:, :k].copy(), sigma[:k, None] * v[:, :k].T)
 
 
 def to_dense(h: HodlrMatrix) -> np.ndarray:
@@ -236,11 +235,12 @@ def to_dense(h: HodlrMatrix) -> np.ndarray:
 
 
 def left_orthogonalize(b: LowRankBlock) -> LowRankBlock:
-    """Economy QR of L, absorbing the triangular factor into R."""
-    if b.left_orthogonal or b.rank == 0:
+    """Economy QR of L, absorbing the triangular factor into R: how hqr's
+    frames give a B block they make the orthonormal L that _hqr_rec needs."""
+    if b.rank == 0:
         return b
     q, r = np.linalg.qr(b.L, mode="reduced")
-    return LowRankBlock(q, r @ b.R, left_orthogonal=True)
+    return LowRankBlock(q, r @ b.R)
 
 
 def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
@@ -253,10 +253,10 @@ def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
     """
     q1, c = np.linalg.qr(b.L, mode="reduced")
     if b.R.shape[0] == 0:
-        return LowRankBlock(q1 @ c, b.R, True)
+        return LowRankBlock(q1 @ c, b.R)
     q2, r2 = np.linalg.qr(b.R.T, mode="reduced")
     (u, s, v), = _cores([(q1, c)], r2, tc)
-    return LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T, True)
+    return LowRankBlock(q1 @ u, (s[:, None] * v.T) @ q2.T)
 
 
 def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[LowRankBlock]:
@@ -264,7 +264,7 @@ def _truncate_shared(lefts, right: np.ndarray, tc: TruncationControl) -> list[Lo
     # QR of the shared right factor that forms R2 alone (geqrf, no orgqr): (U_k^T C)
     # right, L right projected on Q1 U_k, is S_k V_k^T Q2^T; same ranks and bound
     r2 = np.linalg.qr(right.T, mode="r")
-    return [LowRankBlock(q1 @ u, (u.T @ c) @ right, True)
+    return [LowRankBlock(q1 @ u, (u.T @ c) @ right)
             for (q1, c), (u, _, _) in zip(lefts, _cores(lefts, r2, tc))]
 
 

@@ -100,8 +100,10 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
              ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
     """One recursion step on the structured block column [A + P; B; C]:
     an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, an m x n
-    pending low-rank block P, a factorized s x n low-rank block B and
-    r2 x n dense coupling rows C.  B, C and P may be empty.
+    pending low-rank block P, an s x n low-rank block B with orthonormal L
+    and r2 x n dense coupling rows C; B, C and P may be empty.  The frame
+    that makes B orthogonalizes it: a QR of A21's L where P is zero, and of
+    the rows off A11's triangles; the truncated sum A21 + P21 is orthonormal.
 
     Returns (Y_A, Y_B, Y_C, T, R): the three parts of Y mirror the column,
     and T, R are n x n upper triangular HODLR matrices over A's column
@@ -114,12 +116,11 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     QR, each A21 joins its quadrant in the truncated sum that becomes the
     child's B, and each A12 takes its quadrant's factors as extra columns.
     No A22 subtree is copied.  A frame keeps alive only what later steps
-    read: no block of Y, T or R, nor its Y_C, is a view of a larger array;
+    read: no block of Y, T or R, nor its Y_C, views a larger array or A;
     its C, rows [B_R; C] and A21 join go before the second child, that
     child's P after.  A leaf's panel [A + P; B_R; C] is one array that
     block_qr frees, and Y_A is geqrf's buffer when no rows lie below A.
     """
-    b = left_orthogonalize(b)
     m = a.n
     k_b = b.rank
     # compressed rows below A: [B_R; C]
@@ -129,14 +130,14 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
         # compressed column [A + P; B_R; C] reduced by dense Householder QR; unnamed, block_qr frees it
         y, t, r = block_qr(_leaf_panel(a.dense, p, rows))
         return (HodlrMatrix(dense=y[:m].copy() if len(rows) else y),
-                LowRankBlock(b.L, y[m:m + k_b].copy(), b.left_orthogonal),
+                LowRankBlock(b.L, y[m:m + k_b].copy()),
                 y[m + k_b:].copy(), HodlrMatrix(dense=t), HodlrMatrix(dense=r))
 
     a11, a22 = a.a11, a.a22
     m1, n1 = a11.n, a11.n_cols
     p11, _, p21, _ = _quadrants(p, m1, n1)
     # first block column [A11 + P11; A21 + P21; rows1]: the same structure one level down
-    a21 = _sum_lowrank([a.a21, p21], tc_abs) if p.rank else a.a21
+    a21 = _sum_lowrank([a.a21, p21], tc_abs) if p.rank else left_orthogonalize(a.a21)
     y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], p11, tc_abs, tc_plain)
     a12_upd, pending, rows2 = _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc_abs)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
@@ -145,7 +146,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     if m1 > n1:
         tri = triangle_rows(a11)
         rest = np.setdiff1d(np.arange(m1), tri)
-        b2 = LowRankBlock(a12_upd.L[rest], a12_upd.R)
+        b2 = left_orthogonalize(LowRankBlock(a12_upd.L[rest], a12_upd.R))
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
     del c, rows, a21  # not read below: they would stay alive through the second child
     y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending, tc_abs, tc_plain)
@@ -158,7 +159,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     if m1 > n1:  # Y12 is the second column's Y_B, placed on the rows of b2
         y12_l = np.zeros((m1, y2_b.rank))
         y12_l[rest] = y2_b.L
-        y12 = LowRankBlock(y12_l, y2_b.R, y2_b.left_orthogonal)
+        y12 = LowRankBlock(y12_l, y2_b.R)
         terms.append(LowRankBlock(apply_dense(y11, y12_l, trans=True), y12.R))
     t_tilde12 = _sum_lowrank(terms, tc_plain)
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
@@ -167,7 +168,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
     y_a = HodlrMatrix(a11=y11, a22=y22, a21=y21, a12=y12)
-    y_b = LowRankBlock(b.L, np.hstack([y1_c[:k_b], y2_c[:k_b]]), b.left_orthogonal)
+    y_b = LowRankBlock(b.L, np.hstack([y1_c[:k_b], y2_c[:k_b]]))
     return y_a, y_b, np.hstack([y1_c[k_b:], y2_c[k_b:]]), t, r
 
 

@@ -4,7 +4,8 @@ Layout (little-endian): magic ``HDLR1\\0``, u32 version, u64 n, u32 level,
 2**level u64 leaf sizes, then a pre-order tree serialization.  A leaf is
 tag 0x01 + u64 rows + u64 cols + row-major float64 entries; a node is tag
 0x02 followed by a11, the a21 block, the a12 block and a22, where a block
-is u64 n_rows + u64 n_cols + u64 k + one flag byte (bit0 = left_orthogonal)
+is u64 n_rows + u64 n_cols + u64 k + one reserved byte (written 0, ignored
+on read; files of earlier versions may set its bit0, which is not trusted)
 + L entries + R entries.  A CRC32 of all preceding bytes closes the file.
 """
 
@@ -21,6 +22,7 @@ VERSION = 1
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_BLOCK = struct.Struct("<QQQx")  # n_rows, n_cols, k and the reserved pad byte
 
 
 class FormatError(Exception):
@@ -32,10 +34,7 @@ class CorruptionError(Exception):
 
 
 def _write_block(buf, blk: LowRankBlock):
-    buf.write(_U64.pack(blk.n_rows))
-    buf.write(_U64.pack(blk.n_cols))
-    buf.write(_U64.pack(blk.rank))
-    buf.write(bytes([1 if blk.left_orthogonal else 0]))
+    buf.write(_BLOCK.pack(blk.n_rows, blk.n_cols, blk.rank))
     buf.write(np.ascontiguousarray(blk.L, dtype="<f8").tobytes())
     buf.write(np.ascontiguousarray(blk.R, dtype="<f8").tobytes())
 
@@ -100,11 +99,10 @@ class _Reader:
 
 
 def _read_block(r: _Reader) -> LowRankBlock:
-    n_rows, n_cols, k = r.u64(), r.u64(), r.u64()
-    flags = r.take(1)[0]
+    n_rows, n_cols, k = _BLOCK.unpack(r.take(_BLOCK.size))
     L = r.floats(n_rows * k).reshape(n_rows, k)
     R = r.floats(k * n_cols).reshape(k, n_cols)
-    return LowRankBlock(L, R, left_orthogonal=bool(flags & 1))
+    return LowRankBlock(L, R)
 
 
 def _read_tree(r: _Reader, depth: int) -> HodlrMatrix:

@@ -14,6 +14,7 @@ from hodlrqr import (
     to_dense,
 )
 from hodlrqr.bench import _random_hodlr
+from hodlrqr.core import _nodes, left_orthogonalize
 
 hqr_mod = importlib.import_module("hodlrqr.hqr")
 
@@ -146,11 +147,20 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
 
 def structured_qr(a, b, c, eps, p=None):
     """hqr's recursion step on the structured block column [A + P; B; C]
-    with both tolerances at eps and, by default, no pending block P.
+    with both tolerances at eps and, by default, no pending block P.  B is
+    orthogonalized first, as hqr's frames do with each B they make.
     Returns (Y_A, Y_B, Y_C, T, R)."""
     p = LowRankBlock.zero(a.n, a.n_cols) if p is None else p
     tc = TruncationControl(eps)
-    return hqr_mod._hqr_rec(a, b, c, p, tc, tc)
+    return hqr_mod._hqr_rec(a, left_orthogonalize(b), c, p, tc, tc)
+
+
+def hodlr_arrays(*hs):
+    """The leaves and low-rank factors of the HODLR matrices hs, in
+    post-order node by node."""
+    for h in hs:
+        for _, _, x in _nodes(h):
+            yield from [x.dense] if x.is_leaf else [x.a12.L, x.a12.R, x.a21.L, x.a21.R]
 
 
 def structured_y_dense(y_a, y_b, y_c):

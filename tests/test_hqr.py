@@ -33,6 +33,7 @@ from conftest import (
     UPPER_TRIANGULAR,
     count_calls,
     gen_random_rect_dense,
+    hodlr_arrays,
     hodlr_eye,
     hqr_mod,
     nested_hodlr,
@@ -468,19 +469,10 @@ def test_hqr_builds_only_the_leaves_of_y_t_and_r(monkeypatch):
 def _buffer_bytes(*hs):
     # bytes of the distinct buffers behind the leaves and factors of hs
     buffers = {}
-
-    def walk(h):
-        arrays = [h.dense] if h.is_leaf else [h.a12.L, h.a12.R, h.a21.L, h.a21.R]
-        for x in arrays:
-            while isinstance(x.base, np.ndarray):
-                x = x.base
-            buffers[id(x)] = x.nbytes
-        if not h.is_leaf:
-            walk(h.a11)
-            walk(h.a22)
-
-    for h in hs:
-        walk(h)
+    for x in hodlr_arrays(*hs):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        buffers[id(x)] = x.nbytes
     return sum(buffers.values())
 
 
@@ -490,6 +482,16 @@ def test_hqr_factors_hold_only_their_own_entries():
     f = hqr(gen_random_hodlr(2000, 250, 4, seed=0), 1e-10)
     scalars = sum(stats(h)["memory_scalars"] for h in (f.y, f.t, f.r))
     assert _buffer_bytes(f.y, f.t, f.r) == 8 * scalars
+
+
+def test_hqr_factors_share_no_array_with_a():
+    # from_dense gives every A21 an orthonormal L, which Y_B took as its own
+    # while hqr trusted a stored flag for it: on this input 2 of Y's arrays
+    # were A's, so writing into A changed Y
+    a = gen_matrix("cauchy:a3", 1000)
+    f = hqr(a, 1e-10)
+    assert not any(np.shares_memory(x, z) for x in hodlr_arrays(f.y, f.t, f.r)
+                   for z in hodlr_arrays(a))
 
 
 def test_hqr_one_svd_per_truncation(monkeypatch):
