@@ -286,8 +286,8 @@ def metrics(a, f, estimate: bool = False) -> dict:
     it applies carries the rounding of each application.  Factors
     in HODLR form also get their maximal off-diagonal ranks and, for a
     HODLR a, their stored scalars relative to a: Y, T, Q and R for WY
-    factors, whose Q is materialized by q_to_hodlr at the threshold hqr
-    truncated T at (``f.eps_plain``), Q and R for an explicit pair.
+    factors, whose Q is materialized by q_to_hodlr at hqr.TAU_T, the
+    threshold hqr truncated T at, Q and R for an explicit pair.
     kappa2 belongs to a alone; run_bench and ``hodlrqr qr`` compute it
     once per matrix with _kappa2 (one QR and two Lanczos runs, a relative
     O(kappa2 u) from the SVD value, inf for an exact zero on R's

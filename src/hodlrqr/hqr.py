@@ -36,6 +36,12 @@ from .dense import check_tolerance
 from .wy import block_qr
 
 
+# hqr truncates T's coupling sums at TAU_T = 100 u in both modes, not at eps:
+# T's scale is 1, and the rounding of the terms of t~12, inner products over up
+# to n rows of Y, grows like sqrt(n) u, 30-100 u at n = 1e3-1e4.
+TAU_T = 100 * 2.0 ** -53
+
+
 @dataclass
 class HodlrQRFactors:
     """A ~= (I - Y T Y^T) P^T [R; 0] for an m x n HODLR matrix A.
@@ -43,44 +49,36 @@ class HodlrQRFactors:
     Y is m x n over A's row and column trees, T and R are n x n upper
     triangular over its column tree, and P moves the rows
     ``triangle_rows(y)`` (the first n_j rows of every leaf j) to the top.
-    With square leaves P = I and A ~= (I - Y T Y^T) R.  ``eps_plain`` is
-    the threshold hqr truncated T's coupling blocks at, the scale of Q;
-    q_to_hodlr materializes Q at it.
+    With square leaves P = I and A ~= (I - Y T Y^T) R.  Y, T and R are the
+    whole factorization: T's coupling blocks are truncated at ``TAU_T``,
+    and q_to_hodlr materializes Q at it.
     """
 
     y: HodlrMatrix
     t: HodlrMatrix
     r: HodlrMatrix
-    eps_plain: float
 
 
 def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     """QR decomposition of a HODLR matrix whose leaves are no wider than
     tall (m_j >= n_j), square or rectangular.
 
-    ||A||_2 is estimated once, by power iteration stopped at the first
-    round that does not raise it; as a lower bound its error only makes
-    the truncation more conservative.  By default ``eps`` is relative:
-    intermediate sums are truncated at eps * ||A||_2, the coupling blocks
-    of T, whose scale is 1, at the plain eps.  With ``absolute`` the sums
-    are truncated at eps and the coupling blocks of T at eps / ||A||_2
-    (0 when A is zero).  The factors record that plain threshold as
-    ``eps_plain``, and q_to_hodlr materializes Q at it.  A leaf wider than
-    tall, an inf or nan entry, or an eps that is not finite and >= 0
-    raises ValueError before the norm estimate.
+    ``eps`` sets the truncation of the sums that feed Y and R, by default
+    at eps * ||A||_2, ||A||_2 estimated once by power iteration stopped at
+    the first round that does not raise it (a lower bound, so its error
+    only makes the truncation more conservative); with ``absolute`` at eps,
+    and no norm is estimated.  T's coupling blocks, whose scale is 1, are
+    truncated at ``TAU_T`` in both modes, so Q is orthogonal to roundoff
+    at any eps.  A leaf wider than tall, an inf or nan entry, or an eps
+    that is not finite and >= 0 raises ValueError before any work.
     """
     check_tolerance(eps)
     _check_leaves(a)
     check_finite("hqr", a)
-    norm = hodlr_spectral_norm(a)
-    if absolute:
-        eps_abs, eps_plain = eps, eps / norm if norm > 0 else 0.0
-    else:
-        eps_abs, eps_plain = eps * norm, eps
+    tc = TruncationControl(eps if absolute else eps * hodlr_spectral_norm(a))
     y, _, _, t, r = _hqr_rec(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)),
-                             LowRankBlock.zero(a.n, a.n_cols),
-                             TruncationControl(eps_abs), TruncationControl(eps_plain))
-    return HodlrQRFactors(y=y, t=t, r=r, eps_plain=eps_plain)
+                             LowRankBlock.zero(a.n, a.n_cols), tc)
+    return HodlrQRFactors(y=y, t=t, r=r)
 
 
 def _check_leaves(h: HodlrMatrix) -> None:
@@ -96,7 +94,7 @@ def triangle_rows(h: HodlrMatrix) -> np.ndarray:
 
 
 def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
-             tc_abs: TruncationControl, tc_plain: TruncationControl
+             tc: TruncationControl
              ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
     """One recursion step on the structured block column [A + P; B; C]:
     an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, an m x n
@@ -112,7 +110,7 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     column and every other row of A is reduced to zero.
 
     The update -Y21 S of A22 travels down as one pending block P, truncated
-    at tc_abs except above a leaf: the leaves add it densely before their
+    at tc except above a leaf: the leaves add it densely before their
     QR, each A21 joins its quadrant in the truncated sum that becomes the
     child's B, and each A12 takes its quadrant's factors as extra columns.
     No A22 subtree is copied.  A frame keeps alive only what later steps
@@ -137,9 +135,9 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
     m1, n1 = a11.n, a11.n_cols
     p11, _, p21, _ = _quadrants(p, m1, n1)
     # first block column [A11 + P11; A21 + P21; rows1]: the same structure one level down
-    a21 = _sum_lowrank([a.a21, p21], tc_abs) if p.rank else left_orthogonalize(a.a21)
-    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], p11, tc_abs, tc_plain)
-    a12_upd, pending, rows2 = _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc_abs)
+    a21 = _sum_lowrank([a.a21, p21], tc) if p.rank else left_orthogonalize(a.a21)
+    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], p11, tc)
+    a12_upd, pending, rows2 = _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
     # block column but not in the second: they join it as its b
     b2 = LowRankBlock.zero(0, a22.n_cols)
@@ -149,10 +147,11 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
         b2 = left_orthogonalize(LowRankBlock(a12_upd.L[rest], a12_upd.R))
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
     del c, rows, a21  # not read below: they would stay alive through the second child
-    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending, tc_abs, tc_plain)
+    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending, tc)
     del pending
 
-    # coupling block of T, truncated at the plain tolerance
+    # coupling block of T, truncated at TAU_T; its R in C order, the layout
+    # read_hodlr returns, so factors read back form Q bit for bit
     y12 = LowRankBlock.zero(m1, a22.n_cols)
     terms = [LowRankBlock(y21.R.T, apply_dense(y22, y21.L, trans=True).T),
              LowRankBlock(y1_c.T, y2_c)]
@@ -161,9 +160,9 @@ def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
         y12_l[rest] = y2_b.L
         y12 = LowRankBlock(y12_l, y2_b.R)
         terms.append(LowRankBlock(apply_dense(y11, y12_l, trans=True), y12.R))
-    t_tilde12 = _sum_lowrank(terms, tc_plain)
+    t_tilde12 = _sum_lowrank(terms, TruncationControl(TAU_T))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
-                       apply_dense(t2, t_tilde12.R.T, trans=True).T)
+                       apply_dense(t2, t_tilde12.R.T, trans=True).T.copy())
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
@@ -224,8 +223,8 @@ def apply_q(f: HodlrQRFactors, m: np.ndarray) -> np.ndarray:
 
 
 def q_to_hodlr(f: HodlrQRFactors) -> HodlrMatrix:
-    """Materialize Q = I - Y T Y^T as a HODLR matrix at ``f.eps_plain``,
-    the threshold hqr truncated T's coupling blocks at.
+    """Materialize Q = I - Y T Y^T as a HODLR matrix at ``TAU_T``, the
+    threshold hqr truncated T's coupling blocks at.
 
     The products Y T and (Y T) Y^T truncate each off-diagonal block once
     at that threshold; their negation gets I added to its leaves, so any
@@ -236,7 +235,7 @@ def q_to_hodlr(f: HodlrQRFactors) -> HodlrMatrix:
     """
     if not f.y.is_square():
         raise ValueError("q_to_hodlr requires the factors of a square matrix")
-    tc = TruncationControl(f.eps_plain)
+    tc = TruncationControl(TAU_T)
     q = scale(multiply(multiply(f.y, f.t, tc), transpose(f.y), tc), -1.0)
     for _, _, x in _nodes(q):
         if x.is_leaf:  # scale made each leaf a new array, so Y and T are untouched

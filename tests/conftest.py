@@ -147,12 +147,11 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
 
 def structured_qr(a, b, c, eps, p=None):
     """hqr's recursion step on the structured block column [A + P; B; C]
-    with both tolerances at eps and, by default, no pending block P.  B is
+    with its sums truncated at eps and, by default, no pending block P.  B is
     orthogonalized first, as hqr's frames do with each B they make.
     Returns (Y_A, Y_B, Y_C, T, R)."""
     p = LowRankBlock.zero(a.n, a.n_cols) if p is None else p
-    tc = TruncationControl(eps)
-    return hqr_mod._hqr_rec(a, left_orthogonalize(b), c, p, tc, tc)
+    return hqr_mod._hqr_rec(a, left_orthogonalize(b), c, p, TruncationControl(eps))
 
 
 def hodlr_arrays(*hs):

@@ -9,12 +9,14 @@ import pytest
 
 from hodlrqr import (
     HodlrMatrix,
+    HodlrQRFactors,
     LowRankBlock,
     arith,
     bench,
     build_partition,
     cli,
     hqr,
+    q_to_hodlr,
     read_hodlr,
     stats,
     to_dense,
@@ -263,6 +265,22 @@ def test_cli_gen_qr_round_trip(tmp_path, capsys):
     q = np.eye(200) - yd @ td @ yd.T
     ad = to_dense(a)
     assert np.linalg.norm(q @ to_dense(r) - ad, 2) <= 1e-10 * np.linalg.norm(ad, 2)
+
+
+def test_cli_qr_factor_files_are_the_whole_factorization(tmp_path, capsys):
+    # the three files rebuild the factors, and with them Q, bit for bit
+    matrix_path, prefix = tmp_path / "a.hdlr1", tmp_path / "fac"
+    main(["gen", "--matrix", "cauchy:a3", "--n", "400", "--nmin", "50",
+          "--out", str(matrix_path)])
+    capsys.readouterr()
+    assert main(["qr", str(matrix_path), "--eps", "1e-8", "--out-prefix", str(prefix)]) == 0
+    printed = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+    a = read_hodlr(matrix_path)
+    f = HodlrQRFactors(*(read_hodlr(f"{prefix}.{k}.hdlr1") for k in "ytr"))
+    assert hodlr_equal(q_to_hodlr(f), q_to_hodlr(hqr(a, 1e-8)))
+    m = metrics(a, f)
+    assert m["rank_q"] == int(printed["rank_q"])
+    assert m["mem_q_rel"] == float(printed["mem_q_rel"])
 
 
 def test_cli_qr_estimate_prints_bounds(tmp_path, capsys):

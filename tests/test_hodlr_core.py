@@ -659,4 +659,5 @@ def test_read_fuzzed_file_raises_library_errors_or_reads(tmp_path_factory, edits
     write_hodlr(back, path)
     again = read_hodlr(path)
     assert again.same_structure(back) and again.leaf_sizes() == back.leaf_sizes()
-    assert np.array_equal(to_dense(again), to_dense(back), equal_nan=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # fuzzed factors may overflow L @ R
+        assert np.array_equal(to_dense(again), to_dense(back), equal_nan=True)

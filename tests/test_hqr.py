@@ -21,8 +21,8 @@ from hodlrqr import (
     triangle_rows,
 )
 from hodlrqr import arith, core
-from hodlrqr.arith import apply_dense, hodlr_spectral_norm, scale, transpose
-from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics
+from hodlrqr.arith import apply_dense, scale, transpose
+from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics, tolerance_sweep
 from hodlrqr.core import left_orthogonalize, sum_lowrank
 from hodlrqr.dense import truncation_rank
 from hodlrqr.wy import block_qr
@@ -32,6 +32,7 @@ from conftest import (
     UNIT_LOWER_TRIANGULAR,
     UPPER_TRIANGULAR,
     count_calls,
+    count_calls_everywhere,
     gen_random_rect_dense,
     hodlr_arrays,
     hodlr_eye,
@@ -230,7 +231,7 @@ def test_q_to_hodlr_zero_y():
     ident = hodlr_eye(tree)
     from hodlrqr import HodlrQRFactors
     zero = scale(ident, 0.0)
-    f = HodlrQRFactors(y=zero, t=zero, r=ident, eps_plain=1e-12)
+    f = HodlrQRFactors(y=zero, t=zero, r=ident)
     q = q_to_hodlr(f)
     assert stats(q)["max_offdiag_rank"] == 0
     assert np.array_equal(to_dense(q), np.eye(64))
@@ -260,15 +261,34 @@ def test_q_to_hodlr_and_metrics_on_an_unbalanced_tree(rng):
 
 
 def test_q_to_hodlr_materializes_q_at_the_threshold_hqr_truncated_t_at():
-    # absolute mode: T's coupling blocks, and so Q, are truncated at
-    # eps / ||A||_2, ||A||_2 ~ 16.7 here, not at the raw eps
+    # T's coupling blocks, and so Q, are truncated at TAU_T in both modes,
+    # whatever eps and ||A||_2 (about 16.7 here)
     eps = 1e-4
     a = gen_matrix("cauchy:a3", 1000, eps=eps, absolute_eps=True)
-    f = hqr(a, eps, absolute=True)
-    assert f.eps_plain == eps / hodlr_spectral_norm(a)
-    err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
-    assert err <= 2 * a.level * f.eps_plain
-    assert hqr(a, eps).eps_plain == eps
+    for absolute in (False, True):
+        f = hqr(a, eps, absolute=absolute)
+        err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
+        assert err <= 2 * a.level * hqr_mod.TAU_T
+
+
+@pytest.mark.parametrize("absolute, calls", [(False, 1), (True, 0)])
+def test_hqr_estimates_the_norm_only_for_a_relative_eps(monkeypatch, absolute, calls):
+    # T's threshold needs no ||A||_2, so absolute mode estimates none
+    h, _, _ = random_hodlr_pair(128, 32, seed=44)
+    counted = count_calls_everywhere(monkeypatch, arith, "hodlr_spectral_norm")
+    hqr(h, 1e-10, absolute=absolute)
+    assert sum(map(len, counted)) == calls
+
+
+def test_q_is_orthogonal_to_roundoff_at_every_eps():
+    # eps sets only Y's sums and R; T's threshold is the same in both modes,
+    # so at eps 1e-16 (6e-18 relative to ||A||_2 in absolute mode) T keeps
+    # about the rank it keeps in relative mode
+    eps_list = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16]
+    rel, ab = (tolerance_sweep("cauchy:a3", eps_list, n=1000, absolute_eps=absolute)
+               for absolute in (False, True))
+    assert all(r.e_orth <= 1.5e-13 for r in rel + ab), [(r.eps, r.e_orth) for r in rel + ab]
+    assert abs(ab[-1].rank_t - rel[-1].rank_t) <= 2
 
 
 def test_hqr_robust_to_ill_conditioning():
@@ -659,16 +679,21 @@ def _rank_pairs(h, d, threshold, out):
 @pytest.mark.parametrize("kind, rank, slack", [("random", 1, 0), ("random", 16, 0),
                                                ("cauchy:a3", 1, 1)])
 def test_hqr_ranks_are_those_of_the_dense_householder_factors(kind, rank, slack):
-    # every off-diagonal block of Y, T and R has the rank of the same block
-    # of the exact Householder factors at hqr's thresholds (eps ||A|| for
-    # R, eps for Y and T): the rank growth is the factorization's, not
-    # slack from the truncations
+    # every off-diagonal block of Y and R has the rank of the same block of
+    # the exact Householder factors at hqr's thresholds (eps ||A|| for R,
+    # eps for Y): the rank growth is the factorization's, not slack from the
+    # truncations.  T is truncated at TAU_T, below the rounding floor of the
+    # dense T's blocks (1.5e-14 to 2.4e-12 here), so its dense ranks only
+    # bracket it: T keeps what the dense T holds at eps, and no more than
+    # the dense T holds at TAU_T
     eps = 1e-10
     a = gen_matrix(kind, 2000, 250, 0, offdiag_rank=rank)
     d = to_dense(a)
     f = hqr(a, eps)
     y, t, r = block_qr(d)
-    for h, exact, threshold in ((f.y, y, eps), (f.t, t, eps),
-                                (f.r, r, eps * np.linalg.norm(d, 2))):
+    for h, exact, threshold in ((f.y, y, eps), (f.r, r, eps * np.linalg.norm(d, 2))):
         for stored, optimal in _rank_pairs(h, exact, threshold, []):
             assert abs(stored - optimal) <= slack
+    for (stored, at_eps), (_, at_tau) in zip(_rank_pairs(f.t, t, eps, []),
+                                             _rank_pairs(f.t, t, hqr_mod.TAU_T, [])):
+        assert at_eps - slack <= stored <= at_tau
