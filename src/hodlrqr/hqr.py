@@ -36,9 +36,9 @@ from .dense import check_tolerance
 from .wy import block_qr
 
 
-# hqr truncates T's coupling sums at TAU_T = 100 u in both modes, not at eps:
-# T's scale is 1, and the rounding of the terms of t~12, inner products over up
-# to n rows of Y, grows like sqrt(n) u, 30-100 u at n = 1e3-1e4.
+# T's coupling sums are truncated at TAU_T = 100 u in both modes: T's scale is 1
+# whatever eps, a threshold near u keeps their rounding as rank, and Q takes up
+# to 2 level TAU_T of T's truncation.  Checked for n = 1000-16000 only (README).
 TAU_T = 100 * 2.0 ** -53
 
 
@@ -50,8 +50,7 @@ class HodlrQRFactors:
     triangular over its column tree, and P moves the rows
     ``triangle_rows(y)`` (the first n_j rows of every leaf j) to the top.
     With square leaves P = I and A ~= (I - Y T Y^T) R.  Y, T and R are the
-    whole factorization: T's coupling blocks are truncated at ``TAU_T``,
-    and q_to_hodlr materializes Q at it.
+    whole factorization: q_to_hodlr materializes Q at T's threshold TAU_T.
     """
 
     y: HodlrMatrix

@@ -683,10 +683,12 @@ def test_hqr_ranks_are_those_of_the_dense_householder_factors(kind, rank, slack)
     # the exact Householder factors at hqr's thresholds (eps ||A|| for R,
     # eps for Y): the rank growth is the factorization's, not slack from the
     # truncations.  T is truncated at TAU_T, below the rounding floor of the
-    # dense T's blocks (1.5e-14 to 2.4e-12 here), so its dense ranks only
-    # bracket it: T keeps what the dense T holds at eps, and no more than
-    # the dense T holds at TAU_T
-    eps = 1e-10
+    # dense T's blocks (1.5e-14 to 2.4e-12 here), so it is held to the dense
+    # T's rank at eps: T may keep what the dense T holds between eps and
+    # TAU_T, none of it on random input and, on cauchy:a3, whose dense T
+    # gains about one rank per decade below eps, at most one per decade of
+    # the four between eps = 1e-10 and TAU_T
+    eps, rise = 1e-10, {"random": 0, "cauchy:a3": 4}[kind]
     a = gen_matrix(kind, 2000, 250, 0, offdiag_rank=rank)
     d = to_dense(a)
     f = hqr(a, eps)
@@ -694,6 +696,5 @@ def test_hqr_ranks_are_those_of_the_dense_householder_factors(kind, rank, slack)
     for h, exact, threshold in ((f.y, y, eps), (f.r, r, eps * np.linalg.norm(d, 2))):
         for stored, optimal in _rank_pairs(h, exact, threshold, []):
             assert abs(stored - optimal) <= slack
-    for (stored, at_eps), (_, at_tau) in zip(_rank_pairs(f.t, t, eps, []),
-                                             _rank_pairs(f.t, t, hqr_mod.TAU_T, [])):
-        assert at_eps - slack <= stored <= at_tau
+    for stored, at_eps in _rank_pairs(f.t, t, eps, []):
+        assert at_eps - slack <= stored <= at_eps + rise

@@ -76,9 +76,11 @@ def test_structured_factors_have_small_ranks(rng):
 
 @pytest.mark.parametrize("alpha", [1.0, 1e100, 1e-100])
 def test_orthogonality_does_not_depend_on_the_scale_of_a(alpha):
-    # with ``absolute`` T is truncated at eps / ||A||, not at the eps that
-    # truncates the sums: at eps = 1e-12 ||A|| and ||A|| ~ 1e102 the absolute
-    # eps left e_orth at 2.6 on the rectangular input and 37 on the square one
+    # T is truncated at hqr.TAU_T in both modes, not at the eps that
+    # truncates the sums, so Q's orthogonality does not depend on the scale
+    # of A: at eps = 1e-12 ||A|| and ||A|| ~ 1e102 an eps-derived threshold
+    # for T once left e_orth at 2.6 on the rectangular input and 37 on the
+    # square one
     a, tr, tc = gen_random_rect_dense(400, 200, 50, 1, seed=43)
     a = alpha * a
     f = rect_qr(a, tr, tc, 1e-12 * np.linalg.norm(a, 2))
