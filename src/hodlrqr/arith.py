@@ -86,17 +86,6 @@ def transpose(h: HodlrMatrix) -> HodlrMatrix:
     )
 
 
-def scale(h: HodlrMatrix, alpha: float) -> HodlrMatrix:
-    if h.is_leaf:
-        return HodlrMatrix(dense=alpha * h.dense)
-    return HodlrMatrix(
-        a11=scale(h.a11, alpha),
-        a22=scale(h.a22, alpha),
-        a12=h.a12.scaled(alpha),
-        a21=h.a21.scaled(alpha),
-    )
-
-
 def _lowrank_times_hodlr(b: LowRankBlock, h: HodlrMatrix) -> LowRankBlock:
     # (L R) @ H = L (R H), with R H done as k transposed matvecs
     return LowRankBlock(b.L, apply_dense(h, b.R.T, trans=True).T)

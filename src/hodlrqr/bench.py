@@ -379,8 +379,9 @@ class BenchConfig:
 
 
 def _run_cell(config: BenchConfig, a: HodlrMatrix, method: str, seed: int,
-              estimate: bool, tc: TruncationControl | None) -> BenchRecord:
+              tc: TruncationControl | None) -> BenchRecord:
     rec = BenchRecord(method=method, n=a.n, seed=seed, eps=config.eps)
+    estimate = config.estimate or a.n > DENSE_LIMIT
     start = time.perf_counter()
     try:
         if method == "hqr":
@@ -412,17 +413,16 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
     """
     records = []
     for n in config.sizes:
-        estimate = config.estimate or n > DENSE_LIMIT
         for seed in config.seeds:
             a = gen_matrix(config.matrix, n, config.n_min, seed, config.offdiag_rank,
                            config.eps, config.absolute_eps)
-            kappa2 = math.nan if estimate else _kappa2(a)
+            kappa2 = math.nan if config.estimate or n > DENSE_LIMIT else _kappa2(a)
             tc = None
             if {"cholqr", "cholqr2"} & set(config.methods):
                 norm = 1.0 if config.absolute_eps else hodlr_spectral_norm(a)
                 tc = TruncationControl(config.eps * norm)
             for method in config.methods:
-                rec = _run_cell(config, a, method, seed, estimate, tc)
+                rec = _run_cell(config, a, method, seed, tc)
                 rec.kappa2 = kappa2
                 records.append(rec)
     return records
@@ -441,7 +441,7 @@ def tolerance_sweep(matrix: str, eps_list, n: int = 2000, n_min: int = 250,
                              n_min=n_min, matrix=matrix, absolute_eps=absolute_eps,
                              estimate=estimate)
         a = gen_matrix(matrix, n, n_min, seed, eps=eps, absolute_eps=absolute_eps)
-        records.append(_run_cell(config, a, "hqr", seed, estimate or n > DENSE_LIMIT, None))
+        records.append(_run_cell(config, a, "hqr", seed, None))
     return records
 
 

@@ -19,19 +19,14 @@ from .core import (
     TruncationControl,
     check_finite,
     left_orthogonalize,
+    _join,
     _leaf_panel,
     _nodes,
     _quadrants,
     _sum_lowrank,
     _truncate_shared,
 )
-from .arith import (
-    apply_dense,
-    hodlr_spectral_norm,
-    multiply,
-    scale,
-    transpose,
-)
+from .arith import apply_dense, hodlr_spectral_norm
 from .dense import check_tolerance
 from .wy import block_qr
 
@@ -225,18 +220,33 @@ def q_to_hodlr(f: HodlrQRFactors) -> HodlrMatrix:
     """Materialize Q = I - Y T Y^T as a HODLR matrix at ``TAU_T``, the
     threshold hqr truncated T's coupling blocks at.
 
-    The products Y T and (Y T) Y^T truncate each off-diagonal block once
-    at that threshold; their negation gets I added to its leaves, so any
-    tree hqr accepts works.  Only needed for rank and memory comparisons;
-    the WY pair (Y, T) is the primary representation of Q.  The factors
-    of a rectangular A, whose Y and T have different trees, raise
-    ValueError before any product.
+    One recursion over Y's tree, of any shape, truncates each off-diagonal
+    block of Q once at that threshold; the blocks of one level lie in
+    disjoint rows and columns, so Q is within level * TAU_T of I - Y T Y^T
+    plus rounding.  Only needed for rank and memory comparisons; the WY
+    pair (Y, T) is the primary representation of Q.  The factors of a
+    rectangular A, whose Y and T have different trees, raise ValueError
+    before any product.
     """
     if not f.y.is_square():
         raise ValueError("q_to_hodlr requires the factors of a square matrix")
-    tc = TruncationControl(TAU_T)
-    q = scale(multiply(multiply(f.y, f.t, tc), transpose(f.y), tc), -1.0)
-    for _, _, x in _nodes(q):
-        if x.is_leaf:  # scale made each leaf a new array, so Y and T are untouched
-            x.dense += np.eye(x.n)
-    return q
+    return _q_rec(f.y, f.t, LowRankBlock.zero(f.y.n, f.y.n), TruncationControl(TAU_T))
+
+
+def _q_rec(y, t, p, tc) -> HodlrMatrix:
+    # I - Y T Y^T + P for Y lower and T upper triangular; with W = T11 Y21^T
+    # + T12 Y22^T exact as one joined pair, Q12 = -Y11 W, Q21 = -Y21.L (Y21.R
+    # T11 Y11^T), and Q22 is the second child's Q plus the pending -Y21.L (Y21.R W)
+    if y.is_leaf:
+        return HodlrMatrix(dense=_leaf_panel(np.eye(y.n) - y.dense @ t.dense @ y.dense.T,
+                                             p, np.empty((0, y.n))))
+    y21, t12 = y.a21, t.a12
+    p11, p12, p21, p22 = _quadrants(p, y.a11.n, y.a11.n)
+    w = LowRankBlock(np.hstack([apply_dense(t.a11, y21.R.T), t12.L]),
+                     np.vstack([y21.L.T, apply_dense(y.a22, t12.R.T).T]))
+    q12 = _sum_lowrank([LowRankBlock(-apply_dense(y.a11, w.L), w.R), p12], tc)
+    q21 = _sum_lowrank([LowRankBlock(-y21.L, apply_dense(
+        y.a11, apply_dense(t.a11, y21.R.T, trans=True)).T), p21], tc)
+    pending = _join(p22, LowRankBlock(-y21.L, (y21.R @ w.L) @ w.R))
+    return HodlrMatrix(a11=_q_rec(y.a11, t.a11, p11, tc), a22=_q_rec(y.a22, t.a22, pending, tc),
+                       a12=q12, a21=q21)

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hodlrqr import (
     HodlrMatrix,
@@ -79,6 +80,20 @@ def random_hodlr(rng, tree, ranks=(0, 1, 2, 3), zero_blocks=True, upper=False, t
     a22 = random_hodlr(rng, t2, ranks, zero_blocks, upper, c2)
     a21 = LowRankBlock.zero(t2.n, c1.n) if upper else block(t2.n, c1.n)
     return HodlrMatrix(a11=a11, a22=a22, a12=block(t1.n, c2.n), a21=a21)
+
+
+# hypothesis arguments for a build_partition tree: one leaf up to level 4,
+# leaves of uneven size
+TREES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 203),
+             n_min=st.integers(12, 64))
+
+
+def scale(h, alpha):
+    """alpha H, with new arrays for the leaves and the left factors."""
+    if h.is_leaf:
+        return HodlrMatrix(dense=alpha * h.dense)
+    return HodlrMatrix(a11=scale(h.a11, alpha), a22=scale(h.a22, alpha),
+                       a12=h.a12.scaled(alpha), a21=h.a21.scaled(alpha))
 
 
 def nested_hodlr(rng, shape, rank=1):

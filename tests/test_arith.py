@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from hodlrqr import (
     CholeskyBreakdownError,
@@ -25,6 +25,7 @@ from hodlrqr.arith import (
 from hodlrqr.bench import gen_matrix, gen_random_hodlr
 
 from conftest import (
+    TREES,
     NoScipy,
     UPPER_TRIANGULAR,
     count_calls,
@@ -284,12 +285,8 @@ def test_outputs_carry_shape_tags():
 
 # uneven trees up to level 4 (n = 203, n_min = 12 gives 16 leaves of 12 and
 # 13), rank-0 and zero-valued off-diagonal blocks, no truncation (eps = 0)
-_TREES = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 203),
-              n_min=st.integers(12, 64))
-
-
 @settings(max_examples=40, deadline=None)
-@given(**_TREES)
+@given(**TREES)
 @example(seed=0, n=203, n_min=12)
 def test_multiply_matches_dense_product_at_eps_zero(seed, n, n_min):
     rng = np.random.default_rng(seed)
@@ -302,7 +299,7 @@ def test_multiply_matches_dense_product_at_eps_zero(seed, n, n_min):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_TREES)
+@given(**TREES)
 @example(seed=0, n=203, n_min=12)
 def test_solve_upper_right_residual_at_eps_zero(seed, n, n_min):
     rng = np.random.default_rng(seed)

@@ -21,13 +21,14 @@ from hodlrqr import (
     triangle_rows,
 )
 from hodlrqr import arith, core
-from hodlrqr.arith import apply_dense, scale, transpose
+from hodlrqr.arith import apply_dense, transpose
 from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics, tolerance_sweep
 from hodlrqr.core import left_orthogonalize, sum_lowrank
 from hodlrqr.dense import truncation_rank
 from hodlrqr.wy import block_qr
 
 from conftest import (
+    TREES,
     NoScipy,
     UNIT_LOWER_TRIANGULAR,
     UPPER_TRIANGULAR,
@@ -40,6 +41,7 @@ from conftest import (
     nested_hodlr,
     random_hodlr,
     random_hodlr_pair,
+    scale,
     structured_qr,
     structured_y_dense,
     validate_structure,
@@ -242,12 +244,14 @@ def test_q_to_hodlr_dense_check(rng, monkeypatch):
     h, dense, tree = random_hodlr_pair(n, 64, rank=1, seed=39)
     eps = 1e-12
     f = hqr(h, eps)
-    calls = count_calls(monkeypatch, core, "truncate_lowrank")
+    calls = count_calls(monkeypatch, core, "_truncate_shared")
+    products = count_calls_everywhere(monkeypatch, arith, "multiply")
     q_h = q_to_hodlr(f)
     assert np.linalg.norm(to_dense(q_h) - dense_q(f), 2) <= 10 * tree.level * eps
-    # the truncations of the two products Y T and (Y T) Y^T, and no others:
-    # adding I to the leaves recompresses no off-diagonal block a second time
-    assert len(calls) == 4 * (2 ** tree.level - 1)
+    # one truncation per off-diagonal block of Q, and no formatted product:
+    # the pending block -Y21 W reaches the leaves exact and is added densely
+    assert len(calls) == 2 * (2 ** tree.level - 1)
+    assert sum(map(len, products)) == 0
 
 
 def test_q_to_hodlr_and_metrics_on_an_unbalanced_tree(rng):
@@ -264,11 +268,28 @@ def test_q_to_hodlr_materializes_q_at_the_threshold_hqr_truncated_t_at():
     # T's coupling blocks, and so Q, are truncated at TAU_T in both modes,
     # whatever eps and ||A||_2 (about 16.7 here)
     eps = 1e-4
-    a = gen_matrix("cauchy:a3", 1000, eps=eps, absolute_eps=True)
-    for absolute in (False, True):
-        f = hqr(a, eps, absolute=absolute)
-        err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
-        assert err <= 2 * a.level * hqr_mod.TAU_T
+    for n in (1000, 2000):
+        a = gen_matrix("cauchy:a3", n, eps=eps, absolute_eps=True)
+        for absolute in (False, True):
+            f = hqr(a, eps, absolute=absolute)
+            err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
+            assert err <= 2 * a.level * hqr_mod.TAU_T
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TREES, eps=st.sampled_from([0.0, 1e-10]))
+@example(seed=0, n=40, n_min=64, eps=0.0)  # one leaf
+@example(seed=0, n=203, n_min=12, eps=1e-10)  # level 4, leaves of 12 and 13
+def test_q_to_hodlr_matches_dense_q_on_degenerate_trees(seed, n, n_min, eps):
+    # rank-0 and zero-valued blocks from random_hodlr; 2 level TAU_T for the
+    # one truncation per block, and the c n u of _C (c = 10, as for hqr's
+    # orthogonality) for the rounding of I - Y T Y^T, formed by n-term sums
+    # both here and blockwise
+    rng = np.random.default_rng(seed)
+    tree = build_partition(n, n_min)
+    f = hqr(random_hodlr(rng, tree), eps)
+    err = np.linalg.norm(to_dense(q_to_hodlr(f)) - dense_q(f), 2)
+    assert err <= 2 * tree.level * hqr_mod.TAU_T + _C * n * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("absolute, calls", [(False, 1), (True, 0)])
@@ -383,7 +404,7 @@ def test_hqr_rejects_bad_eps_before_work(monkeypatch, eps, absolute):
 def test_q_to_hodlr_rejects_rectangular_factors(monkeypatch):
     a, tree_rows, tree_cols = gen_random_rect_dense(300, 160, 40, seed=42)
     f = hqr(from_dense(a, tree_rows, TruncationControl(1e-12), tree_cols), 1e-12, absolute=True)
-    monkeypatch.setattr(hqr_mod, "multiply", None)  # refused before any product
+    monkeypatch.setattr(hqr_mod, "_q_rec", None)  # refused before any product
     with pytest.raises(ValueError, match="q_to_hodlr requires the factors of a square"):
         q_to_hodlr(f)
 

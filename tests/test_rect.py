@@ -12,11 +12,10 @@ from hodlrqr import (
     to_dense,
     triangle_rows,
 )
-from hodlrqr.arith import scale
 from hodlrqr.bench import gen_random_hodlr
 from hodlrqr.core import PartitionTree
 
-from conftest import gen_random_rect_dense, random_hodlr
+from conftest import gen_random_rect_dense, random_hodlr, scale
 
 
 def rect_qr(a, tree_rows, tree_cols, eps):
