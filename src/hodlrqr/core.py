@@ -68,8 +68,7 @@ class TruncationControl:
 
 
 class LowRankBlock:
-    """Off-diagonal block stored as L @ R with L (n_rows x k), R (k x n_cols);
-    hqr makes the L of each B block orthonormal where it makes the block."""
+    """Off-diagonal block stored as L @ R with L (n_rows x k), R (k x n_cols)."""
 
     __slots__ = ("L", "R")
 
@@ -235,8 +234,8 @@ def to_dense(h: HodlrMatrix) -> np.ndarray:
 
 
 def left_orthogonalize(b: LowRankBlock) -> LowRankBlock:
-    """Economy QR of L, absorbing the triangular factor into R: how hqr's
-    frames give a B block they make the orthonormal L that _hqr_rec needs."""
+    """The same block with an orthonormal L: economy QR of L, the triangular
+    factor absorbed into R."""
     if b.rank == 0:
         return b
     q, r = np.linalg.qr(b.L, mode="reduced")

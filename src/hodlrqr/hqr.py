@@ -1,12 +1,13 @@
 """Recursive Householder-based QR decomposition of HODLR matrices.
 
-The recursion unit is a structured block column [A; B; C]: a HODLR matrix
-on top, a factorized low-rank block below it and dense coupling rows at
-the bottom.  The orthogonal factor is returned in compact WY form
-Q = I - Y T Y^T with Y unit lower triangular and T, R upper triangular
-HODLR matrices.  The update of each trailing block A22 is not applied to
-its subtree: it travels down the recursion as one truncated pending
-low-rank block, so no A22 subtree is copied.
+The recursion unit is a block column [A + P; rows]: a HODLR matrix A, a
+pending low-rank block P and dense rows below.  A low-rank block L R with
+orthonormal L below A enters as its R alone on top of the rows: L drops
+out of the QR and returns only in Y's rows for R.  The orthogonal factor
+is returned in compact WY form Q = I - Y T Y^T with Y unit lower
+triangular and T, R upper triangular HODLR matrices.  The update of each
+trailing block A22 is not applied to its subtree: it travels down the
+recursion as the truncated pending block P, so no A22 subtree is copied.
 """
 
 from dataclasses import dataclass
@@ -70,8 +71,7 @@ def hqr(a: HodlrMatrix, eps: float, absolute: bool = False) -> HodlrQRFactors:
     _check_leaves(a)
     check_finite("hqr", a)
     tc = TruncationControl(eps if absolute else eps * hodlr_spectral_norm(a))
-    y, _, _, t, r = _hqr_rec(a, LowRankBlock.zero(0, a.n_cols), np.zeros((0, a.n_cols)),
-                             LowRankBlock.zero(a.n, a.n_cols), tc)
+    y, _, t, r = _hqr_rec(a, np.zeros((0, a.n_cols)), LowRankBlock.zero(a.n, a.n_cols), tc)
     return HodlrQRFactors(y=y, t=t, r=r)
 
 
@@ -87,93 +87,91 @@ def triangle_rows(h: HodlrMatrix) -> np.ndarray:
     return np.concatenate([i + np.arange(x.n_cols) for i, _, x in _nodes(h) if x.is_leaf])
 
 
-def _hqr_rec(a: HodlrMatrix, b: LowRankBlock, c: np.ndarray, p: LowRankBlock,
-             tc: TruncationControl
-             ) -> tuple[HodlrMatrix, LowRankBlock, np.ndarray, HodlrMatrix, HodlrMatrix]:
-    """One recursion step on the structured block column [A + P; B; C]:
-    an m x n HODLR block A with leaves m_j x n_j, m_j >= n_j, an m x n
-    pending low-rank block P, an s x n low-rank block B with orthonormal L
-    and r2 x n dense coupling rows C; B, C and P may be empty.  The frame
-    that makes B orthogonalizes it: a QR of A21's L where P is zero, and of
-    the rows off A11's triangles; the truncated sum A21 + P21 is orthonormal.
+def _hqr_rec(a: HodlrMatrix, rows: np.ndarray, p: LowRankBlock, tc: TruncationControl
+             ) -> tuple[HodlrMatrix, np.ndarray, HodlrMatrix, HodlrMatrix]:
+    """One recursion step on the block column [A + P; rows]: an m x n HODLR
+    block A with leaves m_j x n_j, m_j >= n_j, an m x n pending low-rank
+    block P and r x n dense rows; P and the rows may be empty.
 
-    Returns (Y_A, Y_B, Y_C, T, R): the three parts of Y mirror the column,
-    and T, R are n x n upper triangular HODLR matrices over A's column
-    tree.  With rectangular leaves the triangle of leaf j sits on its first
-    n_j rows (see ``triangle_rows``): R holds those rows of the reduced
-    column and every other row of A is reduced to zero.
+    Returns (Y_A, Y_rows, T, R): Y = [Y_A; Y_rows], and T, R are n x n upper
+    triangular HODLR matrices over A's column tree.  With rectangular
+    leaves the triangle of leaf j sits on its first n_j rows (see
+    ``triangle_rows``): R holds those rows of the reduced column and every
+    other row of A is reduced to zero.
+
+    A low-rank block L R with orthonormal L under a child enters as R on
+    top of the child's rows: [X; L R] = diag(I, [L, L_perp]) [X; R; 0], so
+    its QR has the R and T of that of [X; R] and the reflectors [Y_X; L Y_R].
+    So A21 + P21 gives Y21 and, with rectangular leaves, the block B2 of
+    A11's rows off its leaves' triangles gives Y12.  A QR of A21's L makes
+    it orthonormal where P is zero; the truncated sum A21 + P21 is so already.
 
     The update -Y21 S of A22 travels down as one pending block P, truncated
     at tc except above a leaf: the leaves add it densely before their
-    QR, each A21 joins its quadrant in the truncated sum that becomes the
-    child's B, and each A12 takes its quadrant's factors as extra columns.
-    No A22 subtree is copied.  A frame keeps alive only what later steps
-    read: no block of Y, T or R, nor its Y_C, views a larger array or A;
-    its C, rows [B_R; C] and A21 join go before the second child, that
-    child's P after.  A leaf's panel [A + P; B_R; C] is one array that
+    QR, each A21 joins its quadrant in its truncated sum, and each A12
+    takes its quadrant's factors as extra columns.  No A22 subtree is
+    copied.  A frame keeps alive only what later steps read: it copies the
+    parts of its children's Y_rows, so no block of Y, T or R views a larger
+    array or A; its rows and A21 join go before the second child, that
+    child's P after.  A leaf's panel [A + P; rows] is one array that
     block_qr frees, and Y_A is geqrf's buffer when no rows lie below A.
     """
-    m = a.n
-    k_b = b.rank
-    # compressed rows below A: [B_R; C]
-    rows = np.vstack([b.R, c])
-
     if a.is_leaf:
-        # compressed column [A + P; B_R; C] reduced by dense Householder QR; unnamed, block_qr frees it
+        # the column [A + P; rows] reduced by dense Householder QR; unnamed, block_qr frees it
         y, t, r = block_qr(_leaf_panel(a.dense, p, rows))
-        return (HodlrMatrix(dense=y[:m].copy() if len(rows) else y),
-                LowRankBlock(b.L, y[m:m + k_b].copy()),
-                y[m + k_b:].copy(), HodlrMatrix(dense=t), HodlrMatrix(dense=r))
+        return (HodlrMatrix(dense=y[:a.n].copy() if len(rows) else y), y[a.n:],
+                HodlrMatrix(dense=t), HodlrMatrix(dense=r))
 
     a11, a22 = a.a11, a.a22
     m1, n1 = a11.n, a11.n_cols
     p11, _, p21, _ = _quadrants(p, m1, n1)
     # first block column [A11 + P11; A21 + P21; rows1]: the same structure one level down
     a21 = _sum_lowrank([a.a21, p21], tc) if p.rank else left_orthogonalize(a.a21)
-    y11, y21, y1_c, t1, r11 = _hqr_rec(a11, a21, rows[:, :n1], p11, tc)
+    y11, y1_rows, t1, r11 = _hqr_rec(a11, np.vstack([a21.R, rows[:, :n1]]), p11, tc)
+    # copies: a view would keep y1_rows alive through the second child
+    y21, y1_c = LowRankBlock(a21.L, y1_rows[:a21.rank].copy()), y1_rows[a21.rank:].copy()
+    del y1_rows
     a12_upd, pending, rows2 = _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc)
     # rows of A11 off its leaves' triangles were reduced to zero in the first
-    # block column but not in the second: they join it as its b
-    b2 = LowRankBlock.zero(0, a22.n_cols)
+    # block column but not in the second: they join it as the block B2, whose
+    # L is zero on the triangle rows
+    b2 = LowRankBlock.zero(m1, a22.n_cols)
     if m1 > n1:
         tri = triangle_rows(a11)
         rest = np.setdiff1d(np.arange(m1), tri)
-        b2 = left_orthogonalize(LowRankBlock(a12_upd.L[rest], a12_upd.R))
+        b2_rest = left_orthogonalize(LowRankBlock(a12_upd.L[rest], a12_upd.R))
+        b2 = LowRankBlock(np.zeros((m1, b2_rest.rank)), b2_rest.R)
+        b2.L[rest] = b2_rest.L
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
-    del c, rows, a21  # not read below: they would stay alive through the second child
-    y22, y2_b, y2_c, t2, r22 = _hqr_rec(a22, b2, rows2, pending, tc)
+    del rows, a21  # not read below: they would stay alive through the second child
+    y22, y2_rows, t2, r22 = _hqr_rec(a22, np.vstack([b2.R, rows2]), pending, tc)
     del pending
+    y12, y2_c = LowRankBlock(b2.L, y2_rows[:b2.rank].copy()), y2_rows[b2.rank:].copy()
 
     # coupling block of T, truncated at TAU_T; its R in C order, the layout
     # read_hodlr returns, so factors read back form Q bit for bit
-    y12 = LowRankBlock.zero(m1, a22.n_cols)
-    terms = [LowRankBlock(y21.R.T, apply_dense(y22, y21.L, trans=True).T),
-             LowRankBlock(y1_c.T, y2_c)]
-    if m1 > n1:  # Y12 is the second column's Y_B, placed on the rows of b2
-        y12_l = np.zeros((m1, y2_b.rank))
-        y12_l[rest] = y2_b.L
-        y12 = LowRankBlock(y12_l, y2_b.R)
-        terms.append(LowRankBlock(apply_dense(y11, y12_l, trans=True), y12.R))
-    t_tilde12 = _sum_lowrank(terms, TruncationControl(TAU_T))
+    t_tilde12 = _sum_lowrank([LowRankBlock(y21.R.T, apply_dense(y22, y21.L, trans=True).T),
+                              LowRankBlock(y1_c.T, y2_c),
+                              LowRankBlock(apply_dense(y11, y12.L, trans=True), y12.R)],
+                             TruncationControl(TAU_T))
     t12 = LowRankBlock(-apply_dense(t1, t_tilde12.L),
                        apply_dense(t2, t_tilde12.R.T, trans=True).T.copy())
 
     t = HodlrMatrix(a11=t1, a22=t2, a12=t12, a21=LowRankBlock.zero(t2.n, t1.n))
     r = HodlrMatrix(a11=r11, a22=r22, a12=a12_upd, a21=LowRankBlock.zero(r22.n, r11.n))
     y_a = HodlrMatrix(a11=y11, a22=y22, a21=y21, a12=y12)
-    y_b = LowRankBlock(b.L, np.hstack([y1_c[:k_b], y2_c[:k_b]]))
-    return y_a, y_b, np.hstack([y1_c[k_b:], y2_c[k_b:]]), t, r
+    return y_a, np.hstack([y1_c, y2_c]), t, r
 
 
 def _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc):
     # Subtract Y1 S, S = T1^T Y1^T [A12 + P12; A22 + P22; rows2],
-    # Y1 = [Y11; Y21; Y1_C] the first child's Y, from the second block
-    # column: returns the updated A12, the A22 update joined to P22 as one
-    # pending block, and the updated rows.  S is kept exact as G M,
-    # M = [A12.R; P22.R; (A22^T Y21.L + P22^T Y21.L)^T; rows2] the joined
-    # right factor of its three terms (P12.R = P22.R), so A12 and the
-    # pending block are truncated against the R of one QR of M^T (its Q is
-    # not formed); above a leaf the pending block stays exact.
+    # Y1 = [Y11; Y21; Y1_c] the first child's Y, Y1_c its part on the rows,
+    # from the second block column: returns the updated A12, the A22 update
+    # joined to P22 as one pending block, and the updated rows.  S is kept
+    # exact as G M, M = [A12.R; P22.R; (A22^T Y21.L + P22^T Y21.L)^T; rows2]
+    # the joined right factor of its three terms (P12.R = P22.R), so A12 and
+    # the pending block are truncated against the R of one QR of M^T (its Q
+    # is not formed); above a leaf the pending block stays exact.
     m1, n1 = a.a11.n, a.a11.n_cols
     _, p12, _, p22 = _quadrants(p, m1, n1)
     a12_l = np.hstack([a.a12.L, p12.L])

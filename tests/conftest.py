@@ -161,12 +161,14 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
 
 
 def structured_qr(a, b, c, eps, p=None):
-    """hqr's recursion step on the structured block column [A + P; B; C]
-    with its sums truncated at eps and, by default, no pending block P.  B is
-    orthogonalized first, as hqr's frames do with each B they make.
-    Returns (Y_A, Y_B, Y_C, T, R)."""
+    """hqr's recursion step on the block column [A + P; B; C] with its sums
+    truncated at eps and, by default, no pending block P.  B is
+    orthogonalized first and enters as its R on top of the rows C, as hqr's
+    frames pass each low-rank block they make.  Returns (Y_A, Y_B, Y_C, T, R)."""
     p = LowRankBlock.zero(a.n, a.n_cols) if p is None else p
-    return hqr_mod._hqr_rec(a, left_orthogonalize(b), c, p, TruncationControl(eps))
+    b = left_orthogonalize(b)
+    y_a, y_rows, t, r = hqr_mod._hqr_rec(a, np.vstack([b.R, c]), p, TruncationControl(eps))
+    return y_a, LowRankBlock(b.L, y_rows[:b.rank]), y_rows[b.rank:], t, r
 
 
 def hodlr_arrays(*hs):

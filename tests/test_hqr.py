@@ -154,8 +154,8 @@ def test_hqr_rec_level_one_vs_stacked_dense_oracle():
 
 
 def test_hqr_rec_sum_terms_match_dense_oracle():
-    # the low-rank evaluation of S = T1^T Y1^T [A12; A22; B_R2; C2] agrees
-    # with its dense counterpart
+    # the low-rank evaluation of S = T1^T Y1^T [A12; A22; rows2] agrees with
+    # its dense counterpart, rows2 = [B.R; C] on the second block column
     m, p, r2 = 128, 20, 6
     a, b, c, stacked = _structured_column(m, p, r2, rank=1, seed=34)
     b = left_orthogonalize(b)
@@ -476,6 +476,8 @@ def test_hqr_matches_dense_householder_qr(seed, n, n_min, kind, alpha, eps):
     # both are LAPACK geqrf reflectors; the last row's sign depends on
     # whether its panel had rows below it
     r_ref = np.linalg.qr(d, mode="r")
+    if kind == "zero_column":  # like geqrf, hqr keeps the zero column exactly zero
+        assert not r[:, j].any()
     r[-1], r_ref[-1] = np.abs(r[-1]), np.abs(r_ref[-1])
     if kind == "zero_column":
         # R of a singular matrix is unique only in the rows above the zero
@@ -526,7 +528,7 @@ def test_hqr_factors_hold_only_their_own_entries():
 
 
 def test_hqr_factors_share_no_array_with_a():
-    # from_dense gives every A21 an orthonormal L, which Y_B took as its own
+    # from_dense gives every A21 an orthonormal L, which Y21 took as its own
     # while hqr trusted a stored flag for it: on this input 2 of Y's arrays
     # were A's, so writing into A changed Y
     a = gen_matrix("cauchy:a3", 1000)
@@ -598,13 +600,13 @@ def _hqr_peak_and_factor_bytes(a):
 
 def test_hqr_peak_memory_is_its_factors_plus_one_frame():
     # A frame drops its rows, A21 join and pending pair once they are dead,
-    # no y_c is a view of a leaf panel, and no Q of a right factor is formed,
-    # so beyond the factors only the step under way holds memory.  The peak
-    # comes late, with Y, T and R nearly complete: here in the sum that forms
-    # the T coupling block of the root's second child, 1.16 leaf blocks
-    # (250 x 250) above them.  It was 1.56 blocks in the QR of the last leaf
-    # while its input, raw buffer, Y and R coexisted, and 5.1 blocks with
-    # dead frame state and the Q of right factors.
+    # it copies the Y rows it keeps from its children, and no Q of a right
+    # factor is formed, so beyond the factors only the step under way holds
+    # memory.  The peak comes late, with Y, T and R nearly complete: here in
+    # the sum that forms the T coupling block of the root's second child,
+    # 1.16 leaf blocks (250 x 250) above them.  It was 1.56 blocks in the QR
+    # of the last leaf while its input, raw buffer, Y and R coexisted, and
+    # 5.1 blocks with dead frame state and the Q of right factors.
     peak, factors = _hqr_peak_and_factor_bytes(gen_random_hodlr(2000, 250, 16, seed=0))
     assert peak <= factors + 2.5 * 8 * 250 ** 2
 
