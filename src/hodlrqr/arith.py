@@ -252,6 +252,7 @@ def _solve_right_rec(b, r, p, rows, tc) -> tuple[HodlrMatrix, np.ndarray]:
         return HodlrMatrix(dense=x[:b.n]), x[b.n:]
     m1, s, r12 = b.a11.n, rows.shape[0], r.a12
     p11, p12, p21, p22 = _quadrants(p, m1, m1)
+    # the left edge keeps B21 as it is: CholQR's bits, so its breakdowns, depend on it
     b21 = sum_lowrank([b.a21, p21], tc) if p.rank else b.a21
     # X11 R11 = B11 + P11, and X21 R11 = B21 through the rows
     x11, y1 = _solve_right_rec(b.a11, r.a11, p11, np.vstack([rows[:, :m1], b21.R]), tc)

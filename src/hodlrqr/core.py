@@ -233,15 +233,6 @@ def to_dense(h: HodlrMatrix) -> np.ndarray:
     return out
 
 
-def left_orthogonalize(b: LowRankBlock) -> LowRankBlock:
-    """The same block with an orthonormal L: economy QR of L, the triangular
-    factor absorbed into R."""
-    if b.rank == 0:
-        return b
-    q, r = np.linalg.qr(b.L, mode="reduced")
-    return LowRankBlock(q, r @ b.R)
-
-
 def truncate_lowrank(b: LowRankBlock, tc: TruncationControl) -> LowRankBlock:
     """Recompression operator: QR factorizations L = Q1 C and R^T = Q2 R2,
     then an SVD of the core C R2^T = U S V^T, keeping the smallest rank k

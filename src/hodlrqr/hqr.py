@@ -19,7 +19,6 @@ from .core import (
     LowRankBlock,
     TruncationControl,
     check_finite,
-    left_orthogonalize,
     _join,
     _leaf_panel,
     _nodes,
@@ -34,7 +33,10 @@ from .wy import block_qr
 
 # T's coupling sums are truncated at TAU_T = 100 u in both modes: T's scale is 1
 # whatever eps, a threshold near u keeps their rounding as rank, and Q takes up
-# to 2 level TAU_T of T's truncation.  Checked for n = 1000-16000 only (README).
+# to 2 level TAU_T of T's truncation.  At rank 1 T still keeps rounding sigma >=
+# TAU_T as rank in 0, 0, 2, 6 and 19 of its 7, 15, 31, 63 and 127 coupling blocks
+# at n = 2000-32000, so its size depends on the BLAS thread count (README; a
+# floor from each sum's own rounding is ROADMAP item 5).
 TAU_T = 100 * 2.0 ** -53
 
 
@@ -103,8 +105,8 @@ def _hqr_rec(a: HodlrMatrix, rows: np.ndarray, p: LowRankBlock, tc: TruncationCo
     top of the child's rows: [X; L R] = diag(I, [L, L_perp]) [X; R; 0], so
     its QR has the R and T of that of [X; R] and the reflectors [Y_X; L Y_R].
     So A21 + P21 gives Y21 and, with rectangular leaves, the block B2 of
-    A11's rows off its leaves' triangles gives Y12.  A QR of A21's L makes
-    it orthonormal where P is zero; the truncated sum A21 + P21 is so already.
+    A11's rows off its leaves' triangles gives Y12.  Every block that enters
+    a child is a truncated sum, orthonormal by construction.
 
     The update -Y21 S of A22 travels down as one pending block P, truncated
     at tc except above a leaf: the leaves add it densely before their
@@ -126,7 +128,7 @@ def _hqr_rec(a: HodlrMatrix, rows: np.ndarray, p: LowRankBlock, tc: TruncationCo
     m1, n1 = a11.n, a11.n_cols
     p11, _, p21, _ = _quadrants(p, m1, n1)
     # first block column [A11 + P11; A21 + P21; rows1]: the same structure one level down
-    a21 = _sum_lowrank([a.a21, p21], tc) if p.rank else left_orthogonalize(a.a21)
+    a21 = _sum_lowrank([a.a21, p21], tc)
     y11, y1_rows, t1, r11 = _hqr_rec(a11, np.vstack([a21.R, rows[:, :n1]]), p11, tc)
     # copies: a view would keep y1_rows alive through the second child
     y21, y1_c = LowRankBlock(a21.L, y1_rows[:a21.rank].copy()), y1_rows[a21.rank:].copy()
@@ -139,7 +141,7 @@ def _hqr_rec(a: HodlrMatrix, rows: np.ndarray, p: LowRankBlock, tc: TruncationCo
     if m1 > n1:
         tri = triangle_rows(a11)
         rest = np.setdiff1d(np.arange(m1), tri)
-        b2_rest = left_orthogonalize(LowRankBlock(a12_upd.L[rest], a12_upd.R))
+        b2_rest = _sum_lowrank([LowRankBlock(a12_upd.L[rest], a12_upd.R)], tc)
         b2 = LowRankBlock(np.zeros((m1, b2_rest.rank)), b2_rest.R)
         b2.L[rest] = b2_rest.L
         a12_upd = LowRankBlock(a12_upd.L[tri], a12_upd.R)
@@ -184,18 +186,16 @@ def _update_second_column(a, p, rows, y11, y21, y1_c, t1, tc):
     a12_l_upd[:, :k_a12] += a12_l
     rows2 = rows[:, n1:] - (y1_c @ g) @ m
     # the pending left factor -Y21.L (Y21.R G), plus P22.L on columns k_a:k_a12,
-    # is [Y21.L, Q_w] C for P22.L = Y21.L X + Q_w R_w (block Gram-Schmidt twice
-    # against the orthonormal Y21.L), so only the columns of P22.L take a QR
-    x = y21.L.T @ p22.L
-    w = p22.L - y21.L @ x
-    x2 = y21.L.T @ w
-    q_w, r_w = np.linalg.qr(w - y21.L @ x2, mode="reduced")
-    c = np.vstack([-(y21.R @ g), np.zeros((q_w.shape[1], m.shape[0]))])
-    c[:, k_a:k_a12] += np.vstack([x + x2, r_w])
-    a12_qr, basis = np.linalg.qr(a12_l_upd, mode="reduced"), np.hstack([y21.L, q_w])
+    # is J E with J = [Y21.L, P22.L]: truncated in the basis of J's QR, and
+    # formed as J E above a leaf
+    j = np.hstack([y21.L, p22.L])
+    e = np.vstack([-(y21.R @ g), np.zeros((p22.rank, m.shape[0]))])
+    e[y21.rank:, k_a:k_a12] = np.eye(p22.rank)
+    a12_qr = np.linalg.qr(a12_l_upd, mode="reduced")
     if a.a22.is_leaf:  # the leaf adds the pending block densely, untruncated
-        return _truncate_shared([a12_qr], m, tc)[0], LowRankBlock(basis @ c, m), rows2
-    return (*_truncate_shared([a12_qr, (basis, c)], m, tc), rows2)
+        return _truncate_shared([a12_qr], m, tc)[0], LowRankBlock(j @ e, m), rows2
+    basis, s = np.linalg.qr(j, mode="reduced")
+    return (*_truncate_shared([a12_qr, (basis, s @ e)], m, tc), rows2)
 
 
 def _apply_wy(f: HodlrQRFactors, m: np.ndarray, trans: bool) -> np.ndarray:

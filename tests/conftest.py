@@ -15,7 +15,7 @@ from hodlrqr import (
     to_dense,
 )
 from hodlrqr.bench import _random_hodlr
-from hodlrqr.core import _nodes, left_orthogonalize
+from hodlrqr.core import _nodes, _sum_lowrank
 
 hqr_mod = importlib.import_module("hodlrqr.hqr")
 
@@ -162,12 +162,13 @@ def gen_random_rect_dense(m, n, n_min=250, offdiag_rank=1, seed=0):
 
 def structured_qr(a, b, c, eps, p=None):
     """hqr's recursion step on the block column [A + P; B; C] with its sums
-    truncated at eps and, by default, no pending block P.  B is
-    orthogonalized first and enters as its R on top of the rows C, as hqr's
-    frames pass each low-rank block they make.  Returns (Y_A, Y_B, Y_C, T, R)."""
+    truncated at eps and, by default, no pending block P.  B is truncated
+    at eps first and enters as its R on top of the rows C, as hqr's frames
+    pass each low-rank block they make.  Returns (Y_A, Y_B, Y_C, T, R)."""
     p = LowRankBlock.zero(a.n, a.n_cols) if p is None else p
-    b = left_orthogonalize(b)
-    y_a, y_rows, t, r = hqr_mod._hqr_rec(a, np.vstack([b.R, c]), p, TruncationControl(eps))
+    tc = TruncationControl(eps)
+    b = _sum_lowrank([b], tc)
+    y_a, y_rows, t, r = hqr_mod._hqr_rec(a, np.vstack([b.R, c]), p, tc)
     return y_a, LowRankBlock(b.L, y_rows[:b.rank]), y_rows[b.rank:], t, r
 
 

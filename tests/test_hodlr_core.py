@@ -33,7 +33,6 @@ from hodlrqr.core import (
     _quadrants,
     _truncate_shared,
     check_finite,
-    left_orthogonalize,
     sum_lowrank,
     truncate_lowrank,
 )
@@ -225,8 +224,7 @@ def test_truncate_lowrank_collapses_redundant(rng):
 
 
 def test_truncate_lowrank_no_op_within_tolerance(rng):
-    b = left_orthogonalize(
-        LowRankBlock(rng.standard_normal((30, 4)), rng.standard_normal((4, 25))))
+    b = LowRankBlock(np.linalg.qr(rng.standard_normal((30, 4)))[0], rng.standard_normal((4, 25)))
     sigma = np.linalg.svd(b.to_dense(), compute_uv=False)
     out = truncate_lowrank(b, TruncationControl(sigma[-1] * 0.5))
     assert out.rank == b.rank
@@ -392,22 +390,6 @@ def test_pending_block_helpers_keep_views_and_layout(rng):
     assert np.array_equal(joined.L, np.hstack([p.L, q.L]))
     assert np.array_equal(joined.R, np.vstack([p.R, q.R]))
     assert joined.R.T.flags.c_contiguous
-
-
-def test_left_orthogonalize_one_column():
-    b = LowRankBlock(np.array([[2.0], [0.0]]), np.array([[3.0]]))
-    out = left_orthogonalize(b)
-    assert np.allclose(np.abs(out.L), [[1.0], [0.0]])
-    assert abs(out.R[0, 0]) == pytest.approx(6.0)
-    assert_orthonormal(out.L)
-
-
-def test_left_orthogonalize_preserves_product(rng):
-    b = LowRankBlock(rng.standard_normal((50, 5)), rng.standard_normal((5, 60)))
-    out = left_orthogonalize(b)
-    assert np.linalg.norm(out.L.T @ out.L - np.eye(5), 2) <= 1e-14
-    prod = b.to_dense()
-    assert np.linalg.norm(out.to_dense() - prod, 2) <= 1e-13 * np.linalg.norm(prod, 2)
 
 
 def test_recompress_restores_doubled_factors(rng):

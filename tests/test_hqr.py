@@ -23,7 +23,7 @@ from hodlrqr import (
 from hodlrqr import arith, core
 from hodlrqr.arith import apply_dense, transpose
 from hodlrqr.bench import gen_matrix, gen_random_hodlr, metrics, tolerance_sweep
-from hodlrqr.core import left_orthogonalize, sum_lowrank
+from hodlrqr.core import _sum_lowrank, sum_lowrank
 from hodlrqr.dense import truncation_rank
 from hodlrqr.wy import block_qr
 
@@ -158,7 +158,7 @@ def test_hqr_rec_sum_terms_match_dense_oracle():
     # its dense counterpart, rows2 = [B.R; C] on the second block column
     m, p, r2 = 128, 20, 6
     a, b, c, stacked = _structured_column(m, p, r2, rank=1, seed=34)
-    b = left_orthogonalize(b)
+    b = _sum_lowrank([b], TruncationControl(1e-15))
     m1 = a.a11.n
     *y1, t1, _ = structured_qr(a.a11, a.a21, np.vstack([b.R[:, :m1], c[:, :m1]]), 1e-15)
     y11, y21, y1_c = y1
@@ -538,11 +538,9 @@ def test_hqr_factors_share_no_array_with_a():
 
 
 def test_hqr_one_svd_per_truncation(monkeypatch):
-    # per internal node: the A21 join (none on the left edge, where no
-    # pending pair arrives), A12 and the A22 update truncated against one
-    # shared right factor (A12 alone above a leaf, which adds the pending
-    # pair densely), and the T coupling block; truncating S as well made
-    # 5 (2^L - 1) - L, and the pending pair above each leaf 4 (2^L - 1) - L
+    # per internal node: the A21 join, A12 and the A22 update truncated
+    # against one shared right factor (A12 alone above a leaf, which adds
+    # the pending pair densely), and the T coupling block
     a = gen_random_hodlr(2000, 250, 4, seed=0)
     calls = []
     svd = core.svd
@@ -553,14 +551,13 @@ def test_hqr_one_svd_per_truncation(monkeypatch):
 
     monkeypatch.setattr(core, "svd", counted)
     hqr(a, 1e-10)
-    assert len(calls) == 4 * (2 ** a.level - 1) - a.level - 2 ** (a.level - 1)
+    assert len(calls) == 4 * (2 ** a.level - 1) - 2 ** (a.level - 1)
 
 
 def test_hqr_forms_no_q_of_a_right_factor(monkeypatch):
     # every truncation of hqr takes only the R of its right factor's QR, one
-    # per call: the A21 join on each internal node off the left edge
-    # (2^L - 1 - L), the shared A12/pending truncation and the T coupling
-    # block on each of the 2^L - 1 internal nodes
+    # per call: the A21 join, the shared A12/pending truncation and the T
+    # coupling block on each of the 2^L - 1 internal nodes
     a = gen_random_hodlr(2000, 250, 4, seed=0)
     modes = []
     qr = np.linalg.qr
@@ -571,7 +568,7 @@ def test_hqr_forms_no_q_of_a_right_factor(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counted)
     hqr(a, 1e-10)
-    assert modes.count("r") == 3 * (2 ** a.level - 1) - a.level
+    assert modes.count("r") == 3 * (2 ** a.level - 1)
 
 
 def test_hqr_truncates_only_through_the_private_kernel(monkeypatch):
@@ -584,8 +581,8 @@ def test_hqr_truncates_only_through_the_private_kernel(monkeypatch):
     private = [count_calls(monkeypatch, module, "_truncate_shared") for module in (core, hqr_mod)]
     hqr(a, 1e-10)
     assert not any(public)
-    # one per A21 join off the left edge, shared A12/pending truncation and T coupling block
-    assert sum(map(len, private)) == 3 * (2 ** a.level - 1) - a.level
+    # one per A21 join, shared A12/pending truncation and T coupling block
+    assert sum(map(len, private)) == 3 * (2 ** a.level - 1)
 
 
 def _hqr_peak_and_factor_bytes(a):
@@ -622,9 +619,9 @@ def test_hqr_leaf_qr_holds_no_leaf_sized_temporary():
 
 def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
     # the pending left factor -Y21.L (Y21.R G) + P22.L has as many columns as
-    # the shared right factor (K) but lies in the span of [Y21.L, P22.L]: it is
-    # truncated in a basis of k_y21 + k_u columns, and not at all above a
-    # leaf, which adds it densely
+    # the shared right factor (K) but is J E with J = [Y21.L, P22.L]: it is
+    # truncated in the basis of J's QR, k_y21 + k_u columns, and not at all
+    # above a leaf, which adds J E densely
     frames, bases = [], []
     update, truncate = hqr_mod._update_second_column, hqr_mod._truncate_shared
 
@@ -651,10 +648,14 @@ def test_pending_pair_is_truncated_in_its_own_basis(monkeypatch):
             assert width == k_y + k_u < k
 
 
-def test_update_second_column_matches_dense_oracle():
-    # a level-2 column [A + u v^T; C] with the pending block u v^T; at eps = 0
-    # the updated A12, A22 + pending block and rows equal their dense values
-    m, p, r2 = 128, 3, 5
+@pytest.mark.parametrize("p", [3, 0], ids=["pending3", "pending0"])
+@pytest.mark.parametrize("m", [64, 128], ids=["a22_leaf", "a22_node"])
+def test_update_second_column_matches_dense_oracle(m, p):
+    # a level-1 (A22 a leaf, the pending block formed as J E) or level-2 (A22
+    # a node, J E truncated in J's basis) column [A + u v^T; C] with the
+    # pending block u v^T of rank p, J = Y21.L at p = 0; at eps = 0 the
+    # updated A12, A22 + pending block and rows equal their dense values
+    r2 = 5
     rng = np.random.default_rng(37)
     a, dense, _ = random_hodlr_pair(m, 32, rank=2, seed=37)
     u, v = rng.standard_normal((m, p)), rng.standard_normal((m, p))
@@ -671,7 +672,7 @@ def test_update_second_column_matches_dense_oracle():
     s = to_dense(t1).T @ (y1_dense.T @ second)
     updated = second - y1_dense @ s
     norm = np.linalg.norm(np.vstack([dense + u @ v.T, rows]), 2)
-    assert pending.rank > 0
+    assert pending.rank > 0 and a.a22.is_leaf == (m == 64)
     assert np.linalg.norm(a12_upd.to_dense() - updated[:m1], 2) <= 1e-12 * norm
     a22 = dense[m1:, m1:] + pending.to_dense()
     assert np.linalg.norm(a22 - updated[m1:m], 2) <= 1e-12 * norm
